@@ -95,9 +95,10 @@ main()
               << (options.kernelHugePages ? "on" : "off")
               << " (MOSAIC_FIG6_KERNEL)\n";
 
-    // Every (workload × ways) cell is an independent simulation:
-    // flatten the whole grid onto the pool and print panels in the
-    // paper's order once all cells are in.
+    // Each panel is one pass: every reference is generated, mapped
+    // and walked once for all of its ways rows. The panels are
+    // independent simulations, run on the pool and printed in the
+    // paper's order once all are in.
     const WorkloadKind kinds[] = {WorkloadKind::Graph500,
                                   WorkloadKind::BTree,
                                   WorkloadKind::Gups,
@@ -115,13 +116,16 @@ main()
     report.config("tlbEntries",
                   static_cast<std::uint64_t>(options.tlbEntries));
 
-    // Resilient sweep (DESIGN.md §11): each (workload × ways) cell
-    // is isolated, retried, and — with MOSAIC_RESUME_DIR — resumable.
+    // Resilient sweep (DESIGN.md §11): each panel is isolated,
+    // retried, and — with MOSAIC_RESUME_DIR — resumable. The sweep
+    // unit is in the fingerprint, so checkpoints of another unit
+    // (one cell per ways value) are never merged into panel slots.
     fault::SweepOptions sweep_options = fault::SweepOptions::fromEnv();
     {
         char fp[120];
         std::snprintf(fp, sizeof fp,
-                      "fig6 scale=%g kernel=%d seed=%llu tlb=%u",
+                      "fig6 unit=panel scale=%g kernel=%d seed=%llu "
+                      "tlb=%u",
                       options.scale, options.kernelHugePages ? 1 : 0,
                       static_cast<unsigned long long>(options.seed),
                       options.tlbEntries);
@@ -129,22 +133,18 @@ main()
     }
     fault::SweepRunner runner("fig6", sweep_options);
 
-    std::vector<Fig6Cell> cells(num_panels * ways_count);
+    std::vector<Fig6Cell> panels(num_panels);
     const fault::SweepStats sweep = runner.run(
-        pool, cells.size(),
-        [&](std::size_t i) {
-            return metricWorkloadKey(kinds[i / ways_count]) + ".ways" +
-                   std::to_string(options.waysList[i % ways_count]);
+        pool, panels.size(),
+        [&](std::size_t p) { return metricWorkloadKey(kinds[p]); },
+        [&](std::size_t p) {
+            panels[p] = runFig6Rows(kinds[p], options, 0, ways_count);
         },
-        [&](std::size_t i) {
-            cells[i] = runFig6Cell(kinds[i / ways_count], options,
-                                   i % ways_count);
-        },
-        [&](std::size_t i) { return encodeFig6Cell(cells[i]); },
-        [&](std::size_t i, const std::string &payload) {
-            const Status s = decodeFig6Cell(payload, &cells[i]);
+        [&](std::size_t p) { return encodeFig6Cell(panels[p]); },
+        [&](std::size_t p, const std::string &payload) {
+            const Status s = decodeFig6Cell(payload, &panels[p]);
             if (!s.ok())
-                std::cerr << "fig6: discarding checkpoint cell " << i
+                std::cerr << "fig6: discarding checkpoint panel " << p
                           << ": " << s.toString() << "\n";
             return s.ok();
         });
@@ -152,23 +152,23 @@ main()
 
     double cell_seconds = 0.0;
     for (std::size_t p = 0; p < num_panels; ++p) {
+        Fig6Cell &panel = panels[p];
         Fig6Result result;
         result.kind = kinds[p];
         result.arities = options.arities;
+        result.footprintBytes = panel.footprintBytes;
+        result.accesses = panel.accesses;
+        cell_seconds += panel.seconds;
+        // A permanently failed panel leaves its slot empty: give it
+        // the expected shape (zero misses) so it still renders and
+        // the surviving panels still report; the failure itself is
+        // in the sweep manifest above.
+        panel.rows.resize(ways_count);
         for (std::size_t w = 0; w < ways_count; ++w) {
-            Fig6Cell &cell = cells[p * ways_count + w];
-            // A permanently failed cell leaves its slot empty: give
-            // it the expected shape (zero misses) so the panel still
-            // renders and the surviving cells still report; the
-            // failure itself is in the sweep manifest above.
-            if (cell.row.ways == 0)
-                cell.row.ways = options.waysList[w];
-            cell.row.mosaicMisses.resize(options.arities.size(), 0);
-            result.footprintBytes =
-                std::max(result.footprintBytes, cell.footprintBytes);
-            result.accesses = std::max(result.accesses, cell.accesses);
-            cell_seconds += cell.seconds;
-            result.rows.push_back(std::move(cell.row));
+            Fig6Row &row = panel.rows[w];
+            row.ways = options.waysList[w];
+            row.mosaicMisses.resize(options.arities.size(), 0);
+            result.rows.push_back(std::move(row));
         }
         recordFig6(report.metrics(), result);
         printPanel(result);

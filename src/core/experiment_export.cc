@@ -158,18 +158,40 @@ keyedKind(std::istream &in, WorkloadKind *out)
     return Status();
 }
 
+/** Parse a line of whitespace-separated decimal counts. */
+Status
+parseCounts(const std::string &text, const char *key,
+            std::vector<std::uint64_t> *out)
+{
+    std::istringstream fields(text);
+    std::string token;
+    while (fields >> token) {
+        std::uint64_t v = 0;
+        if (!parseU64(token, &v))
+            return Status::dataLoss(std::string("checkpoint field '") +
+                                    key + "' has a non-integer count: '" +
+                                    token + "'");
+        out->push_back(v);
+    }
+    return Status();
+}
+
 } // namespace
 
 std::string
 encodeFig6Cell(const Fig6Cell &cell)
 {
     std::ostringstream out;
-    out << "ways " << cell.row.ways << '\n';
-    out << "vanilla " << cell.row.vanillaMisses << '\n';
-    out << "mosaic";
-    for (const std::uint64_t m : cell.row.mosaicMisses)
-        out << ' ' << m;
+    out << "ways ";
+    for (std::size_t w = 0; w < cell.rows.size(); ++w)
+        out << (w > 0 ? " " : "") << cell.rows[w].ways;
     out << '\n';
+    for (const Fig6Row &row : cell.rows) {
+        out << "row " << row.vanillaMisses;
+        for (const std::uint64_t m : row.mosaicMisses)
+            out << ' ' << m;
+        out << '\n';
+    }
     out << "footprint " << cell.footprintBytes << '\n';
     out << "accesses " << cell.accesses << '\n';
     out << "seconds " << hexDouble(cell.seconds) << '\n';
@@ -182,33 +204,58 @@ decodeFig6Cell(const std::string &text, Fig6Cell *out)
     std::istringstream in(text);
     std::string rest;
     Fig6Cell cell;
-    std::uint64_t ways = 0;
-    if (Status s = keyedU64(in, "ways", &ways); !s.ok())
+
+    std::vector<std::uint64_t> ways;
+    if (Status s = keyedLine(in, "ways", &rest); !s.ok())
         return s;
-    if (ways == 0 || ways > 0xFFFFFFFFull)
-        return Status::dataLoss("checkpoint field 'ways' is out of "
-                                "range: " +
-                                std::to_string(ways));
-    cell.row.ways = static_cast<unsigned>(ways);
-    if (Status s = keyedU64(in, "vanilla", &cell.row.vanillaMisses);
-            !s.ok())
+    if (Status s = parseCounts(rest, "ways", &ways); !s.ok())
         return s;
-    if (Status s = keyedLine(in, "mosaic", &rest); !s.ok())
-        return s;
-    std::istringstream misses(rest);
-    std::string token;
-    while (misses >> token) {
-        std::uint64_t m = 0;
-        if (!parseU64(token, &m))
-            return Status::dataLoss("checkpoint field 'mosaic' has a "
-                                    "non-integer miss count: '" +
-                                    token + "'");
-        cell.row.mosaicMisses.push_back(m);
+    if (ways.empty())
+        return Status::dataLoss("checkpoint field 'ways' lists no rows");
+    for (const std::uint64_t w : ways) {
+        if (w == 0 || w > 0xFFFFFFFFull)
+            return Status::dataLoss("checkpoint field 'ways' is out of "
+                                    "range: " +
+                                    std::to_string(w));
     }
-    if (cell.row.mosaicMisses.empty())
-        return Status::dataLoss("checkpoint field 'mosaic' lists no "
-                                "miss counts");
-    if (Status s = keyedU64(in, "footprint", &cell.footprintBytes);
+
+    // One "row <vanilla> <mosaic...>" line per ways value, then the
+    // footprint line.
+    std::string line;
+    while (std::getline(in, line) && line.rfind("row ", 0) == 0) {
+        std::vector<std::uint64_t> counts;
+        if (Status s = parseCounts(line.substr(4), "row", &counts);
+                !s.ok())
+            return s;
+        if (counts.size() < 2)
+            return Status::dataLoss("checkpoint field 'row' lists no "
+                                    "mosaic miss counts");
+        if (!cell.rows.empty() &&
+                counts.size() != cell.rows.front().mosaicMisses.size() + 1)
+            return Status::dataLoss("checkpoint rows disagree on the "
+                                    "arity count");
+        if (cell.rows.size() == ways.size())
+            return Status::dataLoss("checkpoint has more rows than its "
+                                    "'ways' line lists");
+        Fig6Row &row = cell.rows.emplace_back();
+        row.ways = static_cast<unsigned>(ways[cell.rows.size() - 1]);
+        row.vanillaMisses = counts.front();
+        row.mosaicMisses.assign(counts.begin() + 1, counts.end());
+    }
+    if (cell.rows.empty() && line.rfind("vanilla ", 0) == 0)
+        return Status::dataLoss("checkpoint is in the single-row "
+                                "per-ways format");
+    if (in.fail())
+        return Status::dataLoss("checkpoint truncated in its row list");
+    if (cell.rows.size() != ways.size())
+        return Status::dataLoss(
+            "checkpoint has " + std::to_string(cell.rows.size()) +
+            " rows but its 'ways' line lists " +
+            std::to_string(ways.size()));
+
+    // The row loop consumed the footprint line.
+    std::istringstream footprint(line);
+    if (Status s = keyedU64(footprint, "footprint", &cell.footprintBytes);
             !s.ok())
         return s;
     if (Status s = keyedU64(in, "accesses", &cell.accesses); !s.ok())

@@ -58,6 +58,13 @@ void recordTable4(telemetry::Registry &r, const Table4Row &row);
 // recomputes the cell) instead of silently resuming a zeroed row; the
 // output is unspecified on failure.
 
+/**
+ * A Figure 6 cell is a row list: a `ways` line naming the cell's ways
+ * values, one `row <vanilla> <mosaic...>` line per value, then the
+ * footprint, accesses and seconds lines. Decoding rejects an empty or
+ * truncated row list, a row count that disagrees with the `ways`
+ * line, and the older one-row-per-cell format.
+ */
 std::string encodeFig6Cell(const Fig6Cell &cell);
 Status decodeFig6Cell(const std::string &text, Fig6Cell *out);
 

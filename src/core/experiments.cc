@@ -1,12 +1,15 @@
 #include "core/experiments.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "core/batch_pipeline.hh"
 #include "core/translation_sim.hh"
 #include "core/vm_touch_sink.hh"
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
+#include "util/log.hh"
 #include "util/parse.hh"
 
 namespace mosaic
@@ -136,8 +139,8 @@ runTable4Cell(WorkloadKind kind, const Table4Options &options,
 } // namespace
 
 Fig6Cell
-runFig6Cell(WorkloadKind kind, const Fig6Options &options,
-            std::size_t ways_index)
+runFig6Rows(WorkloadKind kind, const Fig6Options &options,
+            std::size_t first, std::size_t count)
 {
     const auto start = Clock::now();
 
@@ -148,10 +151,13 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     const std::unique_ptr<Workload> workload =
         makeFig6Workload(kind, options.scale, options.seed);
 
+    ensure(first + count <= options.waysList.size(),
+           "fig6: ways rows out of range");
+    const auto ways = std::span(options.waysList).subspan(first, count);
     TranslationSimConfig config;
     config.memory = ampleGeometry(workload->info().footprintBytes);
     config.tlbEntries = options.tlbEntries;
-    config.waysList = {options.waysList.at(ways_index)};
+    config.waysList.assign(ways.begin(), ways.end());
     config.arities = options.arities;
     if (!options.kernelHugePages)
         config.kernel.accessEvery = 0;
@@ -182,10 +188,13 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     Fig6Cell cell;
     cell.footprintBytes = workload->info().footprintBytes;
     cell.accesses = sim.totalAccesses();
-    cell.row.ways = options.waysList.at(ways_index);
-    cell.row.vanillaMisses = sim.vanillaStats(0).misses;
-    for (std::size_t a = 0; a < options.arities.size(); ++a)
-        cell.row.mosaicMisses.push_back(sim.mosaicStats(0, a).misses);
+    for (std::size_t w = 0; w < ways.size(); ++w) {
+        Fig6Row &row = cell.rows.emplace_back();
+        row.ways = ways[w];
+        row.vanillaMisses = sim.vanillaStats(w).misses;
+        for (std::size_t a = 0; a < options.arities.size(); ++a)
+            row.mosaicMisses.push_back(sim.mosaicStats(w, a).misses);
+    }
     cell.seconds = secondsSince(start);
     return cell;
 }
@@ -194,9 +203,18 @@ Fig6Result
 runFig6(WorkloadKind kind, const Fig6Options &options,
         ThreadPool &pool)
 {
-    std::vector<Fig6Cell> cells(options.waysList.size());
-    parallelFor(pool, cells.size(), [&](std::size_t w) {
-        cells[w] = runFig6Cell(kind, options, w);
+    // One pass per worker: on one thread the whole panel shares a
+    // single reference stream; with >= ways threads each row gets its
+    // own. Rows depend only on the stream, so the grouping never
+    // changes a result.
+    const std::size_t ways = options.waysList.size();
+    const std::size_t groups =
+        std::min<std::size_t>(pool.threadCount(), ways);
+    std::vector<Fig6Cell> cells(groups);
+    parallelFor(pool, groups, [&](std::size_t g) {
+        const std::size_t first = g * ways / groups;
+        const std::size_t last = (g + 1) * ways / groups;
+        cells[g] = runFig6Rows(kind, options, first, last - first);
     });
 
     Fig6Result result;
@@ -207,7 +225,8 @@ runFig6(WorkloadKind kind, const Fig6Options &options,
         result.footprintBytes = cell.footprintBytes;
         result.accesses = cell.accesses;
         result.cellSeconds += cell.seconds;
-        result.rows.push_back(std::move(cell.row));
+        for (Fig6Row &row : cell.rows)
+            result.rows.push_back(std::move(row));
     }
     return result;
 }

@@ -14,8 +14,9 @@
  *               across over-commit factors (Table 4).
  *
  * Parallelism and determinism (see DESIGN.md §8): every sweep is
- * decomposed into independent *cells* — one ways value for Figure 6,
- * one repetition for Tables 3/4 — each of which builds its own
+ * decomposed into independent *cells* — a contiguous group of ways
+ * rows for Figure 6, one repetition for Tables 3/4 — each of which
+ * builds its own
  * TLB/page-table/allocator stack and owns its RNG streams outright.
  * A cell's streams are a pure function of (options.seed, cell
  * identity) via experimentCellSeed(), never a shared generator, so
@@ -93,23 +94,29 @@ struct Fig6Result
     std::vector<unsigned> arities;
     std::vector<Fig6Row> rows;
 
-    /** Sum of per-cell wall-clock seconds (the serial-equivalent
-     *  cost). Timing only — not deterministic, never compared. */
+    /** Sum of per-cell wall-clock seconds, one cell per group of
+     *  ways rows sharing a pass (the serial-equivalent cost, which
+     *  therefore shrinks as the pool does). Timing only — not
+     *  deterministic, never compared. */
     double cellSeconds = 0.0;
 };
 
 /**
- * One (workload × ways) cell of the Figure 6 sweep: a full
- * simulation of options.waysList[ways_index] against every arity.
+ * One cell of the Figure 6 sweep: ways rows
+ * options.waysList[first, first + count) simulated together, every
+ * reference generated, demand-mapped and walked once and fed to all
+ * of the group's TLBs (the paper's "in one pass").
  *
  * Figure 6 cells deliberately share one reference stream: the figure
  * compares TLB geometries *on the same trace*, so the workload and
- * kernel streams are derived from options.seed alone (not the cell
- * index) and each cell re-derives identical private copies.
+ * kernel streams are derived from options.seed alone (not the cell)
+ * and each cell re-derives identical private copies. A TLB row's
+ * counts depend only on that stream, so a row is the same whichever
+ * group computes it.
  */
 struct Fig6Cell
 {
-    Fig6Row row;
+    std::vector<Fig6Row> rows;
     std::uint64_t footprintBytes = 0;
     std::uint64_t accesses = 0;
 
@@ -117,11 +124,11 @@ struct Fig6Cell
     double seconds = 0.0;
 };
 
-Fig6Cell runFig6Cell(WorkloadKind kind, const Fig6Options &options,
-                     std::size_t ways_index);
+Fig6Cell runFig6Rows(WorkloadKind kind, const Fig6Options &options,
+                     std::size_t first, std::size_t count);
 
-/** Run all cells of one panel on @p pool and assemble the result in
- *  waysList order. */
+/** Run one panel on @p pool as min(threads, ways) cells of contiguous
+ *  ways rows and assemble the result in waysList order. */
 Fig6Result runFig6(WorkloadKind kind, const Fig6Options &options,
                    ThreadPool &pool);
 

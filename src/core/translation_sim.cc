@@ -65,6 +65,26 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
             fatal("translation_sim: " + design.status().toString());
         designs_.push_back(std::move(design.value()));
     }
+    setActiveAsid(config_.asid);
+}
+
+void
+TranslationSim::setActiveAsid(Asid asid)
+{
+    activeAsid_ = asid;
+    activeVanillaPt_ = &vanillaPtFor(asid);
+
+    // The only insert into mosaicPts_: a new address space may rehash
+    // it and move every set, so the cache is re-pointed here.
+    auto [pts, inserted] = mosaicPts_.emplace(asid);
+    if (inserted) {
+        const Cpfn unmapped = allocator_.mapper().codec().invalid();
+        for (const unsigned arity : config_.arities) {
+            pts.push_back(
+                std::make_unique<MosaicPageTable>(arity, unmapped));
+        }
+    }
+    activePts_ = &pts;
 }
 
 std::optional<Pfn>
@@ -104,20 +124,6 @@ TranslationSim::vanillaPtFor(Asid asid)
     return *pt;
 }
 
-TranslationSim::MosaicPtSet &
-TranslationSim::mosaicPtsFor(Asid asid)
-{
-    auto [set, inserted] = mosaicPts_.emplace(asid);
-    if (inserted) {
-        const Cpfn unmapped = allocator_.mapper().codec().invalid();
-        for (const unsigned arity : config_.arities) {
-            set.push_back(
-                std::make_unique<MosaicPageTable>(arity, unmapped));
-        }
-    }
-    return set;
-}
-
 const TlbStats &
 TranslationSim::vanillaStats(std::size_t ways_idx) const
 {
@@ -147,18 +153,14 @@ TranslationSim::itlbMosaicStats(std::size_t ways_idx,
 Pfn
 TranslationSim::vanillaPfnOf(Vpn vpn) const
 {
-    auto *self = const_cast<TranslationSim *>(this);
-    const VanillaWalkResult walk =
-        self->vanillaPtFor(activeAsid_).walk(vpn);
+    const VanillaWalkResult walk = activeVanillaPt_->walk(vpn);
     return walk.present ? walk.pfn : invalidPfn;
 }
 
 Pfn
 TranslationSim::mosaicPfnOf(Vpn vpn) const
 {
-    auto *self = const_cast<TranslationSim *>(this);
-    const MosaicWalkResult walk =
-        self->mosaicPtsFor(activeAsid_).front()->walk(vpn);
+    const MosaicWalkResult walk = activePts_->front()->walk(vpn);
     if (!walk.present)
         return invalidPfn;
     const CandidateSet cand = allocator_.mapper().candidates(
@@ -166,15 +168,16 @@ TranslationSim::mosaicPfnOf(Vpn vpn) const
     return allocator_.mapper().toPfn(cand, walk.cpfn);
 }
 
-void
+Pfn
 TranslationSim::ensureMapped(Vpn vpn)
 {
-    VanillaPageTable &vanilla_pt = vanillaPtFor(activeAsid_);
-    if (vanilla_pt.walk(vpn).present)
-        return;
+    const VanillaWalkResult walk = activeVanillaPt_->walk(vpn);
+    if (walk.present)
+        return walk.pfn;
 
     // Vanilla side: bump allocation of a fresh frame.
-    vanilla_pt.map(vpn, vanillaNextPfn_++);
+    const Pfn pfn = vanillaNextPfn_++;
+    activeVanillaPt_->map(vpn, pfn);
 
     // Mosaic side: iceberg placement. Memory is sized well below the
     // conflict regime for this experiment, so a conflict means the
@@ -189,7 +192,7 @@ TranslationSim::ensureMapped(Vpn vpn)
               "(associativity conflict during demand mapping)");
     }
     frames_.map(placement->pfn, PageId{activeAsid_, vpn}, clock_);
-    for (auto &pt : mosaicPtsFor(activeAsid_))
+    for (auto &pt : *activePts_)
         pt->setCpfn(vpn, placement->cpfn);
     if (!designs_.empty()) {
         auto [cpfn, inserted] =
@@ -198,6 +201,29 @@ TranslationSim::ensureMapped(Vpn vpn)
         (void)inserted;
     }
     ++mappedPages_;
+    return pfn;
+}
+
+void
+TranslationSim::fillMosaic(MosaicGrid &grid, Vpn vpn)
+{
+    const Asid asid = activeAsid_;
+    const Cpfn unmapped = allocator_.mapper().codec().invalid();
+    MosaicPtSet &pts = *activePts_;
+    for (std::size_t a = 0; a < pts.size(); ++a) {
+        bool walked = false;
+        MosaicWalkResult walk;
+        for (auto &row : grid) {
+            MosaicTlb &tlb = *row[a];
+            if (!tlb.lookup(asid, vpn)) {
+                if (!walked) {
+                    walk = pts[a]->walk(vpn);
+                    walked = true;
+                }
+                tlb.fill(asid, vpn, walk.toc, unmapped);
+            }
+        }
+    }
 }
 
 void
@@ -207,14 +233,15 @@ TranslationSim::translate(Vpn vpn, bool kernel)
         // Vanilla maps the kernel with 2 MiB pages; each mosaic TLB
         // caches kernel pages as conventional full entries. Kernel
         // mappings are global: one ASID tag shared by everyone.
-        VanillaPageTable &kernel_pt = vanillaPtFor(kernelAsid);
-        VanillaWalkResult walk = kernel_pt.walk(vpn);
+        if (kernelPt_ == nullptr)
+            kernelPt_ = &vanillaPtFor(kernelAsid);
+        VanillaWalkResult walk = kernelPt_->walk(vpn);
         if (!walk.present) {
             // Allocate a 512-frame-aligned huge region lazily.
             vanillaNextPfn_ = (vanillaNextPfn_ + 511) & ~Pfn{511};
-            kernel_pt.mapHuge(vpn, vanillaNextPfn_);
+            kernelPt_->mapHuge(vpn, vanillaNextPfn_);
             vanillaNextPfn_ += 512;
-            walk = kernel_pt.walk(vpn);
+            walk = kernelPt_->walk(vpn);
         }
         for (auto &tlb : vanillaTlbs_) {
             if (!tlb->lookup(kernelAsid, vpn))
@@ -230,31 +257,12 @@ TranslationSim::translate(Vpn vpn, bool kernel)
     }
 
     const Asid asid = activeAsid_;
-    ensureMapped(vpn);
-
+    const Pfn pfn = ensureMapped(vpn);
     for (auto &tlb : vanillaTlbs_) {
-        if (!tlb->lookup(asid, vpn)) {
-            const VanillaWalkResult walk = vanillaPtFor(asid).walk(vpn);
-            tlb->fill(asid, vpn, walk.pfn);
-        }
+        if (!tlb->lookup(asid, vpn))
+            tlb->fill(asid, vpn, pfn);
     }
-
-    const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        bool walked = false;
-        MosaicWalkResult walk;
-        for (auto &row : mosaicTlbs_) {
-            MosaicTlb &tlb = *row[a];
-            if (!tlb.lookup(asid, vpn)) {
-                if (!walked) {
-                    walk = pts[a]->walk(vpn);
-                    walked = true;
-                }
-                tlb.fill(asid, vpn, walk.toc, unmapped);
-            }
-        }
-    }
+    fillMosaic(mosaicTlbs_, vpn);
 
     for (auto &design : designs_)
         design->access(asid, vpn, designWalker_);
@@ -271,25 +279,12 @@ TranslationSim::instructionFetch()
         offset = instrRng_.below(i.codeBytes);
     const Vpn vpn = vpnOf(codeBase_ + offset);
     const Asid asid = activeAsid_;
-    ensureMapped(vpn);
-
+    const Pfn pfn = ensureMapped(vpn);
     for (auto &tlb : itlbVanilla_) {
-        if (!tlb->lookup(asid, vpn)) {
-            const VanillaWalkResult walk = vanillaPtFor(asid).walk(vpn);
-            tlb->fill(asid, vpn, walk.pfn);
-        }
+        if (!tlb->lookup(asid, vpn))
+            tlb->fill(asid, vpn, pfn);
     }
-    const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        for (auto &row : itlbMosaic_) {
-            MosaicTlb &tlb = *row[a];
-            if (!tlb.lookup(asid, vpn)) {
-                const MosaicWalkResult walk = pts[a]->walk(vpn);
-                tlb.fill(asid, vpn, walk.toc, unmapped);
-            }
-        }
-    }
+    fillMosaic(itlbMosaic_, vpn);
 }
 
 void

@@ -152,7 +152,7 @@ class TranslationSim : public AccessSink
      * context switch. TLB entries are ASID-tagged, so nothing is
      * flushed; translations of other processes simply stop hitting.
      */
-    void setActiveAsid(Asid asid) { activeAsid_ = asid; }
+    void setActiveAsid(Asid asid);
 
     Asid activeAsid() const { return activeAsid_; }
 
@@ -198,10 +198,20 @@ class TranslationSim : public AccessSink
     const ShardedMosaicVm *shardedVm() const { return shardedVm_.get(); }
 
   private:
-    void ensureMapped(Vpn vpn);
+    /** Demand-map @p vpn in the active address space; returns its
+     *  vanilla PFN (the walk every vanilla fill of this reference
+     *  reuses). */
+    Pfn ensureMapped(Vpn vpn);
     void kernelAccess();
     void instructionFetch();
     void translate(Vpn vpn, bool kernel);
+
+    /** A mosaic TLB grid, [ways][arity]. */
+    using MosaicGrid = std::vector<std::vector<std::unique_ptr<MosaicTlb>>>;
+
+    /** Look @p vpn up in every TLB of @p grid, filling the misses
+     *  from one walk per arity of the active address space. */
+    void fillMosaic(MosaicGrid &grid, Vpn vpn);
 
     /**
      * The designs' window onto this simulator's page tables
@@ -235,18 +245,25 @@ class TranslationSim : public AccessSink
     /** Mosaic page tables of one address space, one per arity. */
     using MosaicPtSet = std::vector<std::unique_ptr<MosaicPageTable>>;
 
-    MosaicPtSet &mosaicPtsFor(Asid asid);
     VanillaPageTable &vanillaPtFor(Asid asid);
+
+    // The active and kernel address spaces' page tables, cached so a
+    // reference costs no ASID map probe. Vanilla tables live behind
+    // unique_ptrs and never move, whoever inserts; mosaicPts_ is only
+    // inserted into by setActiveAsid, which re-points activePts_.
+    VanillaPageTable *activeVanillaPt_ = nullptr;
+    MosaicPtSet *activePts_ = nullptr;
+    VanillaPageTable *kernelPt_ = nullptr;
 
     // Mosaic side: per-ASID page tables, TLB grid [ways][arity].
     MosaicAllocator allocator_;
     FrameTable frames_;
     FlatMap<Asid, MosaicPtSet> mosaicPts_;
-    std::vector<std::vector<std::unique_ptr<MosaicTlb>>> mosaicTlbs_;
+    MosaicGrid mosaicTlbs_;
 
     // Instruction TLBs (same grid shape, fed by synthetic fetches).
     std::vector<std::unique_ptr<VanillaTlb>> itlbVanilla_;
-    std::vector<std::vector<std::unique_ptr<MosaicTlb>>> itlbMosaic_;
+    MosaicGrid itlbMosaic_;
 
     /** Optional sharded multi-tenant VM engine fed the data stream. */
     std::unique_ptr<ShardedMosaicVm> shardedVm_;

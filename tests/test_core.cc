@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/translation_sim.hh"
 
 namespace mosaic
@@ -213,6 +215,33 @@ TEST(TranslationSim, ContextSwitchKeepsBothAddressSpaces)
         sim.access(addrOf(vpn), false);
     EXPECT_EQ(sim.vanillaStats(2).misses, misses_before);
     EXPECT_EQ(sim.mosaicPfnOf(3), p1);
+}
+
+TEST(TranslationSim, CachedPageTablesSurviveManyAddressSpaces)
+{
+    // Enough address spaces to rehash the per-ASID page-table maps
+    // several times, with the kernel stream inserting ASID 0 midway.
+    TranslationSimConfig c = smallConfig();
+    c.kernel.accessEvery = 3;
+    TranslationSim sim(c);
+    constexpr Asid asids = 40;
+    std::vector<Pfn> vanilla, mosaic;
+    for (Asid asid = 1; asid <= asids; ++asid) {
+        sim.setActiveAsid(asid);
+        for (Vpn vpn = 0; vpn < 4; ++vpn)
+            sim.access(addrOf(vpn), false);
+        vanilla.push_back(sim.vanillaPfnOf(2));
+        mosaic.push_back(sim.mosaicPfnOf(2));
+    }
+    const std::uint64_t mapped = sim.mappedPages();
+    EXPECT_EQ(mapped, 4u * asids);
+    for (Asid asid = 1; asid <= asids; ++asid) {
+        sim.setActiveAsid(asid);
+        sim.access(addrOf(2), false); // already mapped: no new page
+        EXPECT_EQ(sim.vanillaPfnOf(2), vanilla[asid - 1]) << asid;
+        EXPECT_EQ(sim.mosaicPfnOf(2), mosaic[asid - 1]) << asid;
+    }
+    EXPECT_EQ(sim.mappedPages(), mapped);
 }
 
 TEST(TranslationSim, KernelEntriesAreGlobalAcrossProcesses)

@@ -11,6 +11,8 @@
 #include <cstdlib>
 
 #include "core/experiments.hh"
+#include "core/translation_sim.hh"
+#include "util/thread_pool.hh"
 
 namespace mosaic
 {
@@ -98,12 +100,14 @@ TEST(Fig6, FullPoolKnobRunsRealGeometryWithShardedVm)
     // ride-along engine never feeds the TLBs.
     ASSERT_EQ(setenv("MOSAIC_FULL_POOL", "2", 1), 0);
     Fig6Options o = tinyFig6();
-    o.waysList = {8};
-    const Fig6Cell cell = runFig6Cell(WorkloadKind::Gups, o, 0);
+    o.waysList = {4, 8};
+    const Fig6Cell cell = runFig6Rows(WorkloadKind::Gups, o, 1, 1);
     ASSERT_EQ(unsetenv("MOSAIC_FULL_POOL"), 0);
     EXPECT_GT(cell.accesses, 0u);
-    EXPECT_GT(cell.row.vanillaMisses, 0u);
-    ASSERT_EQ(cell.row.mosaicMisses.size(), 2u);
+    ASSERT_EQ(cell.rows.size(), 1u);
+    EXPECT_EQ(cell.rows[0].ways, 8u);
+    EXPECT_GT(cell.rows[0].vanillaMisses, 0u);
+    ASSERT_EQ(cell.rows[0].mosaicMisses.size(), 2u);
 }
 
 TEST(Fig6DeathTest, MalformedFullPoolKnobIsFatal)
@@ -115,9 +119,111 @@ TEST(Fig6DeathTest, MalformedFullPoolKnobIsFatal)
     EXPECT_DEATH(
         {
             setenv("MOSAIC_FULL_POOL", "3O", 1);
-            runFig6Cell(WorkloadKind::Gups, o, 0);
+            runFig6Rows(WorkloadKind::Gups, o, 0, 1);
         },
         "MOSAIC_FULL_POOL");
+}
+
+// ------------------------------------------- Figure 6 in one pass
+
+/** The plain path: one single-ways TranslationSim fed scalar
+ *  references, as a Figure 6 cell ran before rows shared a pass. */
+Fig6Row
+plainRow(WorkloadKind kind, const Fig6Options &o, unsigned ways,
+         std::uint64_t *accesses)
+{
+    const auto workload = makeFig6Workload(kind, o.scale, o.seed);
+    TranslationSimConfig config;
+    config.memory = ampleGeometry(workload->info().footprintBytes);
+    config.tlbEntries = o.tlbEntries;
+    config.waysList = {ways};
+    config.arities = o.arities;
+    if (!o.kernelHugePages)
+        config.kernel.accessEvery = 0;
+    config.seed = o.seed;
+    TranslationSim sim(config);
+    workload->run(sim);
+    *accesses = sim.totalAccesses();
+
+    Fig6Row row;
+    row.ways = ways;
+    row.vanillaMisses = sim.vanillaStats(0).misses;
+    for (std::size_t a = 0; a < o.arities.size(); ++a)
+        row.mosaicMisses.push_back(sim.mosaicStats(0, a).misses);
+    return row;
+}
+
+struct OnePassCase
+{
+    WorkloadKind kind;
+    bool kernel;
+};
+
+class Fig6OnePassTest : public ::testing::TestWithParam<OnePassCase>
+{
+};
+
+TEST_P(Fig6OnePassTest, RowsEqualOneSimPerWaysAtEveryPoolSize)
+{
+    // Five ways values on a small TLB, so every pool size below
+    // groups the rows differently (1, 2, 3 and 5 passes) and the
+    // full-associativity row takes the indexed fill path.
+    Fig6Options o;
+    o.scale = 1.0 / 256;
+    o.tlbEntries = 32;
+    o.waysList = {1, 2, 4, 16, 32};
+    o.arities = {4, 16};
+    o.kernelHugePages = GetParam().kernel;
+    const WorkloadKind kind = GetParam().kind;
+
+    std::vector<Fig6Row> expected;
+    std::uint64_t accesses = 0;
+    for (const unsigned ways : o.waysList)
+        expected.push_back(plainRow(kind, o, ways, &accesses));
+    ASSERT_GT(expected.back().vanillaMisses, 0u);
+
+    for (const char *batch : {"", "8"}) {
+        ASSERT_EQ(setenv("MOSAIC_BATCH", batch, 1), 0);
+        for (const unsigned threads : {1u, 2u, 3u, 5u}) {
+            ThreadPool pool(threads);
+            const Fig6Result r = runFig6(kind, o, pool);
+            ASSERT_EQ(r.rows.size(), expected.size());
+            EXPECT_EQ(r.accesses, accesses);
+            for (std::size_t w = 0; w < expected.size(); ++w) {
+                EXPECT_EQ(r.rows[w].ways, expected[w].ways);
+                EXPECT_EQ(r.rows[w].vanillaMisses,
+                          expected[w].vanillaMisses)
+                    << "threads " << threads << " batch '" << batch
+                    << "' ways " << expected[w].ways;
+                EXPECT_EQ(r.rows[w].mosaicMisses,
+                          expected[w].mosaicMisses)
+                    << "threads " << threads << " batch '" << batch
+                    << "' ways " << expected[w].ways;
+            }
+        }
+    }
+    ASSERT_EQ(unsetenv("MOSAIC_BATCH"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndKernel, Fig6OnePassTest,
+    ::testing::Values(OnePassCase{WorkloadKind::Graph500, true},
+                      OnePassCase{WorkloadKind::Graph500, false},
+                      OnePassCase{WorkloadKind::BTree, true},
+                      OnePassCase{WorkloadKind::BTree, false},
+                      OnePassCase{WorkloadKind::Gups, true},
+                      OnePassCase{WorkloadKind::Gups, false},
+                      OnePassCase{WorkloadKind::XsBench, true},
+                      OnePassCase{WorkloadKind::XsBench, false}),
+    [](const ::testing::TestParamInfo<OnePassCase> &info) {
+        return workloadName(info.param.kind) +
+               (info.param.kernel ? "Kernel" : "NoKernel");
+    });
+
+TEST(Fig6DeathTest, RowsOutsideWaysListAreFatal)
+{
+    Fig6Options o = tinyFig6();
+    EXPECT_DEATH(runFig6Rows(WorkloadKind::Gups, o, 2, 2), "out of range");
 }
 
 TEST(Table3, FirstConflictNearNinetyEightPercent)

@@ -281,25 +281,84 @@ TEST(SweepRunnerDeathTest, DieAfterCellsExitsLikeAKilledRun)
 
 // ------------------------------------- experiment checkpoint codecs
 
+/** A two-row Figure 6 cell (one pass over ways 4 and 8). */
+Fig6Cell
+twoRowCell()
+{
+    Fig6Cell cell;
+    cell.rows.resize(2);
+    cell.rows[0].ways = 4;
+    cell.rows[0].vanillaMisses = 123;
+    cell.rows[0].mosaicMisses = {1, 2, 3};
+    cell.rows[1].ways = 8;
+    cell.rows[1].vanillaMisses = 99;
+    cell.rows[1].mosaicMisses = {4, 5, 6};
+    cell.footprintBytes = 1 << 20;
+    cell.accesses = 42;
+    cell.seconds = 0.5;
+    return cell;
+}
+
 TEST(ExperimentCodecs, Fig6CellRoundTrips)
 {
     Fig6Cell cell;
-    cell.row.ways = 8;
-    cell.row.vanillaMisses = 123456789;
-    cell.row.mosaicMisses = {11, 22, 33, 44, 55};
+    cell.rows.resize(5);
+    const unsigned ways[] = {1, 2, 4, 8, 1024};
+    for (std::size_t w = 0; w < cell.rows.size(); ++w) {
+        cell.rows[w].ways = ways[w];
+        cell.rows[w].vanillaMisses = 123456789 + w;
+        cell.rows[w].mosaicMisses = {11 + w, 22, 33, 44, 55};
+    }
     cell.footprintBytes = 1ull << 33;
     cell.accesses = 987654321;
     cell.seconds = 3.14159265358979;
 
     Fig6Cell back;
     ASSERT_TRUE(decodeFig6Cell(encodeFig6Cell(cell), &back).ok());
-    EXPECT_EQ(back.row.ways, cell.row.ways);
-    EXPECT_EQ(back.row.vanillaMisses, cell.row.vanillaMisses);
-    EXPECT_EQ(back.row.mosaicMisses, cell.row.mosaicMisses);
+    ASSERT_EQ(back.rows.size(), cell.rows.size());
+    for (std::size_t w = 0; w < cell.rows.size(); ++w) {
+        EXPECT_EQ(back.rows[w].ways, cell.rows[w].ways);
+        EXPECT_EQ(back.rows[w].vanillaMisses, cell.rows[w].vanillaMisses);
+        EXPECT_EQ(back.rows[w].mosaicMisses, cell.rows[w].mosaicMisses);
+    }
     EXPECT_EQ(back.footprintBytes, cell.footprintBytes);
     EXPECT_EQ(back.accesses, cell.accesses);
     EXPECT_EQ(back.seconds, cell.seconds); // bit-exact hexfloat
     EXPECT_EQ(encodeFig6Cell(back), encodeFig6Cell(cell));
+}
+
+TEST(ExperimentCodecs, Fig6RowListDefectsAreDataLoss)
+{
+    const std::string good = encodeFig6Cell(twoRowCell());
+    const auto expectDataLoss = [](const std::string &text,
+                                   const char *needle) {
+        Fig6Cell back;
+        const Status s = decodeFig6Cell(text, &back);
+        EXPECT_EQ(s.code(), StatusCode::DataLoss) << text;
+        EXPECT_NE(s.message().find(needle), std::string::npos)
+            << s.message();
+    };
+
+    // An empty row list.
+    expectDataLoss(encodeFig6Cell(Fig6Cell{}), "lists no rows");
+    // Truncated inside the row list.
+    expectDataLoss(good.substr(0, good.find("row 99")), "truncated");
+    // Row counts disagreeing with the encoded ways, both directions.
+    std::string missing = good;
+    missing.erase(missing.find("row 99"),
+                  missing.find("footprint") - missing.find("row 99"));
+    expectDataLoss(missing, "rows but");
+    std::string extra = good;
+    extra.insert(extra.find("footprint"), "row 7 7 7 7\n");
+    expectDataLoss(extra, "more rows");
+    // Rows disagreeing on the arity count.
+    std::string ragged = good;
+    ragged.replace(ragged.find("row 99 4 5 6"), 12, "row 99 4 5");
+    expectDataLoss(ragged, "arity");
+    // A checkpoint of the old one-row-per-cell format.
+    expectDataLoss("ways 4\nvanilla 123\nmosaic 1 2 3\nfootprint 1\n"
+                   "accesses 42\nseconds 0x1p-1\n",
+                   "single-row");
 }
 
 TEST(ExperimentCodecs, Table3RowRoundTrips)
@@ -347,6 +406,7 @@ TEST(ExperimentCodecs, MalformedPayloadsRejected)
     EXPECT_FALSE(decodeFig6Cell("", &cell).ok());
     EXPECT_FALSE(decodeFig6Cell("garbage\n", &cell).ok());
     EXPECT_FALSE(decodeFig6Cell("ways 4\nvanilla 1\n", &cell).ok());
+    EXPECT_FALSE(decodeFig6Cell("ways 4\nrow 1 2\n", &cell).ok());
     Table3Row t3;
     EXPECT_FALSE(decodeTable3Row("kind 0\nfootprint 1\n", &t3).ok());
     EXPECT_FALSE(decodeTable3Row(
@@ -361,14 +421,7 @@ TEST(ExperimentCodecs, MalformedPayloadsRejected)
 // recomputes the cell instead.
 TEST(ExperimentCodecs, CorruptNumericFieldsAreDataLoss)
 {
-    Fig6Cell cell;
-    cell.row.ways = 4;
-    cell.row.vanillaMisses = 123;
-    cell.row.mosaicMisses = {1, 2, 3};
-    cell.footprintBytes = 1 << 20;
-    cell.accesses = 42;
-    cell.seconds = 0.5;
-    const std::string good = encodeFig6Cell(cell);
+    const std::string good = encodeFig6Cell(twoRowCell());
 
     const auto corrupt = [&](const std::string &from,
                              const std::string &to) {
@@ -385,14 +438,25 @@ TEST(ExperimentCodecs, CorruptNumericFieldsAreDataLoss)
     EXPECT_EQ(hexWays.code(), StatusCode::DataLoss);
     EXPECT_NE(hexWays.message().find("ways"), std::string::npos);
 
+    const Status zeroWays =
+        decodeFig6Cell(corrupt("ways 4 8", "ways 4 0"), &back);
+    EXPECT_EQ(zeroWays.code(), StatusCode::DataLoss);
+
     const Status negVanilla =
-        decodeFig6Cell(corrupt("vanilla 123", "vanilla -123"), &back);
+        decodeFig6Cell(corrupt("row 123", "row -123"), &back);
     EXPECT_EQ(negVanilla.code(), StatusCode::DataLoss);
 
     const Status junkMosaic =
-        decodeFig6Cell(corrupt("mosaic 1 2 3", "mosaic 1 2x 3"), &back);
+        decodeFig6Cell(corrupt("row 123 1 2 3", "row 123 1 2x 3"), &back);
     EXPECT_EQ(junkMosaic.code(), StatusCode::DataLoss);
-    EXPECT_NE(junkMosaic.message().find("mosaic"), std::string::npos);
+    EXPECT_NE(junkMosaic.message().find("row"), std::string::npos);
+
+    const Status junkFootprint =
+        decodeFig6Cell(corrupt("footprint 1048576", "footprint 1e6"),
+                       &back);
+    EXPECT_EQ(junkFootprint.code(), StatusCode::DataLoss);
+    EXPECT_NE(junkFootprint.message().find("footprint"),
+              std::string::npos);
 
     const Status junkAccesses =
         decodeFig6Cell(corrupt("accesses 42", "accesses 42 extra"),

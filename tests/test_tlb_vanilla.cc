@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "oracle/oracle_tlb.hh"
 #include "tlb/set_assoc.hh"
 #include "tlb/vanilla_tlb.hh"
+#include "util/random.hh"
 
 namespace mosaic
 {
@@ -368,6 +370,73 @@ TEST_P(SetAssocModeTest, FlushResetsVictimSelection)
         EXPECT_FALSE(evicted) << "way " << i;
     }
 }
+
+/**
+ * SetAssocArray against the naive recency-list oracle under random
+ * lookup-or-fill, invalidate, predicate-invalidate and flush traffic.
+ * The geometries cover both lookup modes, multi-set indexed arrays,
+ * and shapes whose ways or sets are not powers of two (the
+ * divide-based set arithmetic).
+ */
+class SetAssocOracleTest : public ::testing::TestWithParam<TlbGeometry>
+{
+};
+
+TEST_P(SetAssocOracleTest, MatchesOracleStepByStep)
+{
+    const TlbGeometry g = GetParam();
+    SetAssocArray<std::uint64_t> arr(g);
+    OracleSetAssoc<std::uint64_t> oracle(g);
+    Rng rng(g.entries * 131 + g.ways);
+    const std::uint64_t universe = std::uint64_t{g.entries} * 3;
+    // Tags embed their index key, as every in-tree tag scheme does.
+    const auto tagOf = [](std::uint64_t key) { return key * 7 + 1; };
+
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = rng.below(universe);
+        const std::uint64_t tag = tagOf(key);
+        const double op = rng.uniform();
+        // Rare bulk drops, so even the 256-way set fills and evicts.
+        if (op < 0.9) {
+            auto *hit = arr.find(key, tag);
+            std::uint64_t *want = oracle.find(key, tag);
+            ASSERT_EQ(hit != nullptr, want != nullptr) << "step " << step;
+            if (hit) {
+                ASSERT_EQ(hit->payload, *want) << "step " << step;
+                continue;
+            }
+            bool evicted = false, want_evicted = false;
+            arr.allocate(key, tag, &evicted).payload = key;
+            oracle.allocate(key, tag, &want_evicted) = key;
+            ASSERT_EQ(evicted, want_evicted) << "step " << step;
+        } else if (op < 0.995) {
+            ASSERT_EQ(arr.invalidate(key, tag), oracle.invalidate(key, tag))
+                << "step " << step;
+        } else if (op < 0.9995) {
+            const std::uint64_t parity = rng.below(2);
+            const auto pred = [&](std::uint64_t t, const std::uint64_t &) {
+                return t % 2 == parity;
+            };
+            ASSERT_EQ(arr.invalidateIf(pred), oracle.invalidateIf(pred));
+        } else {
+            arr.flush();
+            oracle.invalidateIf(
+                [](std::uint64_t, const std::uint64_t &) { return true; });
+        }
+        ASSERT_EQ(arr.validEntries(), oracle.validEntries())
+            << "step " << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, SetAssocOracleTest,
+    ::testing::Values(TlbGeometry{64, 4},    // way scan
+                      TlbGeometry{64, 16},   // tag index, 4 sets
+                      TlbGeometry{96, 16},   // 6 sets
+                      TlbGeometry{48, 12},   // 12 ways
+                      TlbGeometry{256, 256}, // fully associative
+                      TlbGeometry{200, 100}) // 2 words per bitmap
+);
 
 INSTANTIATE_TEST_SUITE_P(Modes, SetAssocModeTest,
                          ::testing::Values(4u,   // way scan
