@@ -44,13 +44,13 @@ TabulationHash::hashMany(std::uint64_t key, std::span<std::uint32_t> out) const
     }
 }
 
-void
+unsigned
 TabulationHash::probeAll(std::uint64_t key, std::span<std::uint32_t> out) const
 {
     assert(out.size() <= maxProbes &&
            "probeAll batch exceeds the mirrored window");
     if (out.empty())
-        return; // no probes requested: no table port activity
+        return 0; // no probes requested: no table port activity
     std::uint32_t acc[maxProbes] = {};
     for (unsigned i = 0; i < numTables; ++i) {
         const auto byte = static_cast<unsigned>((key >> (8 * i)) & 0xFF);
@@ -61,9 +61,9 @@ TabulationHash::probeAll(std::uint64_t key, std::span<std::uint32_t> out) const
         for (unsigned k = 0; k < out.size(); ++k)
             acc[k] ^= window[k];
     }
-    probeTableReads_ += numTables;
     for (unsigned k = 0; k < out.size(); ++k)
         out[k] = acc[k];
+    return numTables;
 }
 
 namespace
@@ -99,14 +99,14 @@ sweepFixedWidth(const Tables &tables, std::span<const std::uint64_t> keys,
 
 } // namespace
 
-void
+std::uint64_t
 TabulationHash::probeAllMany(std::span<const std::uint64_t> keys,
                              unsigned width, std::uint32_t *out) const
 {
     assert(width <= maxProbes &&
            "probeAllMany batch exceeds the mirrored window");
     if (width == 0 || keys.empty())
-        return;
+        return 0;
     // Each key consumes one window read per table, so the per-key
     // cost equals the scalar probeAll() bound. Common widths dispatch
     // to a fixed-width sweep whose window XOR unrolls; the fallback
@@ -136,7 +136,7 @@ TabulationHash::probeAllMany(std::span<const std::uint64_t> keys,
         }
         break;
     }
-    probeTableReads_ += std::uint64_t{numTables} * keys.size();
+    return std::uint64_t{numTables} * keys.size();
 }
 
 void

@@ -67,8 +67,12 @@ class TabulationHash
      * duplicate entries 0..maxProbes-2), so one block read per table
      * covers all offsets — the software analogue of the hardware's
      * wide table port. Results are bit-identical to hash()/hashMany().
+     * Returns the table reads charged: numTables, or 0 for an empty
+     * @p out. The count is returned rather than accumulated in the
+     * object, so concurrent probes of one shared hash never write to
+     * it (the caller sums reads when it wants them).
      */
-    void probeAll(std::uint64_t key, std::span<std::uint32_t> out) const;
+    unsigned probeAll(std::uint64_t key, std::span<std::uint32_t> out) const;
 
     /**
      * probeAll() over a whole block of keys in one table-by-table
@@ -77,18 +81,18 @@ class TabulationHash
      * working set (8 tables x ~1 KiB) across all keys instead of
      * re-streaming it per key. Writes key-major output — key i's
      * probes land at out[i * width .. i * width + width) — and is
-     * bit-identical to calling probeAll() per key. Accounting matches
-     * the scalar bound exactly: numTables reads are charged per key,
-     * so a block of B keys reports 8 * B reads. Requires
+     * bit-identical to calling probeAll() per key. Returns the table
+     * reads charged, which match the scalar bound exactly: numTables
+     * per key, so a block of B keys reports 8 * B reads. Requires
      * width <= maxProbes; width == 0 charges nothing.
      */
-    void probeAllMany(std::span<const std::uint64_t> keys, unsigned width,
-                      std::uint32_t *out) const;
+    std::uint64_t probeAllMany(std::span<const std::uint64_t> keys,
+                               unsigned width, std::uint32_t *out) const;
 
     /**
      * Batched single-output hash: out[i] = hash(keys[i], k) for every
-     * key, swept table by table like probeAllMany(). Matches the
-     * scalar hash() accounting (none — hash() models the dedicated
+     * key, swept table by table like probeAllMany(). Like scalar
+     * hash() it charges no probe reads (hash() models the dedicated
      * single-port lookup, not the probe port).
      */
     void hashKeys(std::span<const std::uint64_t> keys, unsigned k,
@@ -96,12 +100,6 @@ class TabulationHash
 
     /** Raw table entry, exposed for the Verilog generator. */
     std::uint32_t tableEntry(unsigned table, unsigned index) const;
-
-    /** Cumulative table reads performed by probeAll() (testing). */
-    std::uint64_t probeTableReads() const { return probeTableReads_; }
-
-    /** Reset the probeAll() read counter (testing). */
-    void resetProbeTableReads() { probeTableReads_ = 0; }
 
   private:
     // Each table carries maxProbes-1 mirrored entries past index 255
@@ -111,7 +109,6 @@ class TabulationHash
 
     std::array<std::array<std::uint32_t, paddedEntries>, numTables>
         tables_;
-    mutable std::uint64_t probeTableReads_ = 0;
 };
 
 } // namespace mosaic

@@ -58,8 +58,28 @@ class CpfnCodec
     /** Encode a backyard placement. */
     Cpfn encodeBack(unsigned choice, unsigned offset) const;
 
-    /** Decode a valid CPFN. */
-    Decoded decode(Cpfn cpfn) const;
+    /** Decode a valid CPFN. Inline: it sits on every resident
+     *  touch's translation (MosaicMapper::pfnOf). */
+    Decoded
+    decode(Cpfn cpfn) const
+    {
+        ensure(isValid(cpfn), "cpfn: decoding the unmapped sentinel");
+        Decoded out;
+        const unsigned msb = 1u << (bits_ - 1);
+        if ((cpfn & msb) == 0) {
+            out.front = true;
+            out.offset = cpfn & (msb - 1);
+            ensure(out.offset < frontSlots_, "cpfn: corrupt front encoding");
+        } else {
+            out.front = false;
+            out.choice = (cpfn & (msb - 1)) >> backOffsetBits_;
+            out.offset = cpfn & ((1u << backOffsetBits_) - 1);
+            ensure(out.choice < backChoices_,
+                   "cpfn: corrupt backyard choice");
+            ensure(out.offset < backSlots_, "cpfn: corrupt backyard offset");
+        }
+        return out;
+    }
 
   private:
     unsigned frontOffsetBits_;

@@ -12,7 +12,6 @@
 #ifndef MOSAIC_MEM_FRAME_TABLE_HH_
 #define MOSAIC_MEM_FRAME_TABLE_HH_
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -109,25 +108,18 @@ class FrameTable
     }
 
     /**
-     * Hint the cache hierarchy that the metadata of frames
-     * [base, base + width) is about to be scanned: the dense tick
-     * run, the used-bit word, and the Frame records themselves. Pure
-     * performance hint — no observable state changes. Used by the
-     * batched touch pipeline to warm a candidate bucket one stage
-     * before placement reads it.
+     * Hint the cache hierarchy that touch(pfn) is coming: prefetch the
+     * frame's record and its tick slot. Pure performance hint — no
+     * observable state changes. Used by the batched touch pipeline a
+     * few touches ahead of the touch itself.
      */
     void
-    prefetchRange(Pfn base, unsigned width) const
+    prefetch(Pfn pfn) const
     {
-        if (base >= frames_.size())
+        if (pfn >= frames_.size())
             return;
-        __builtin_prefetch(&ticks_[base]);
-        __builtin_prefetch(usedBits_.wordAddr(base));
-        // Frame records are 32 bytes; touch each cache line of the run.
-        const std::size_t last =
-            std::min<std::size_t>(base + width, frames_.size()) - 1;
-        for (std::size_t p = base; p <= last; p += 2)
-            __builtin_prefetch(&frames_[p]);
+        __builtin_prefetch(&frames_[pfn]);
+        __builtin_prefetch(&ticks_[pfn]);
     }
 
     /** Update the access timestamp (and dirtiness) of a used frame. */

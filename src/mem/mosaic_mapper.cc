@@ -1,6 +1,5 @@
 #include "mem/mosaic_mapper.hh"
 
-#include <algorithm>
 #include <span>
 
 namespace mosaic
@@ -38,38 +37,6 @@ MosaicMapper::candidates(std::uint64_t hash_input) const
     for (unsigned k = 0; k < geometry_.backChoices; ++k)
         out.backBuckets[k] = bucketMod_.mod(hashes[k + 1]);
     return out;
-}
-
-void
-MosaicMapper::candidatesMany(std::span<const std::uint64_t> hash_inputs,
-                             CandidateSet *out) const
-{
-    const unsigned n = geometry_.backChoices + 1;
-    if (n > TabulationHash::maxProbes) {
-        // Wide d has no batched probe port; per-key path is already
-        // the scalar behaviour.
-        for (std::size_t i = 0; i < hash_inputs.size(); ++i)
-            out[i] = candidates(hash_inputs[i]);
-        return;
-    }
-    // Stack chunks keep the hash scratch cache-resident regardless of
-    // the caller's block size.
-    constexpr std::size_t chunk = 32;
-    std::array<std::uint32_t, chunk *(maxBackChoices + 1)> hashes;
-    for (std::size_t base = 0; base < hash_inputs.size(); base += chunk) {
-        const std::size_t count =
-            std::min(chunk, hash_inputs.size() - base);
-        hasher_.probeAllMany(hash_inputs.subspan(base, count), n,
-                             hashes.data());
-        for (std::size_t i = 0; i < count; ++i) {
-            CandidateSet &c = out[base + i];
-            const std::uint32_t *h = &hashes[i * n];
-            c.frontBucket = bucketMod_.mod(h[0]);
-            c.numBackChoices = geometry_.backChoices;
-            for (unsigned k = 0; k < geometry_.backChoices; ++k)
-                c.backBuckets[k] = bucketMod_.mod(h[k + 1]);
-        }
-    }
 }
 
 Cpfn

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "hash/tabulation.hh"
 #include "mem/cpfn.hh"
@@ -58,14 +57,23 @@ class MosaicMapper
     CandidateSet candidates(std::uint64_t hash_input) const;
 
     /**
-     * Candidate sets for a whole block of hash inputs, batched
-     * through TabulationHash::probeAllMany so the tabulation tables
-     * are streamed once per chunk instead of once per key.
-     * Bit-identical to candidates() per input, including the
-     * probe-read accounting (numTables reads charged per key).
+     * PFN denoted by a valid CPFN, computing only the one hash output
+     * the CPFN names: output 0 for a front-yard slot, 1 + choice for
+     * a backyard slot. This is the translation the TLB performs
+     * (paper §3.1, Figure 4); the candidate set, which needs all
+     * 1 + d outputs, is only required to place a page. Equals
+     * toPfn(candidates(hash_input), cpfn).
      */
-    void candidatesMany(std::span<const std::uint64_t> hash_inputs,
-                        CandidateSet *out) const;
+    Pfn
+    pfnOf(std::uint64_t hash_input, Cpfn cpfn) const
+    {
+        const CpfnCodec::Decoded d = codec_.decode(cpfn);
+        const unsigned k = d.front ? 0 : 1 + d.choice;
+        const Pfn base = Pfn{bucketMod_.mod(hasher_.hash(hash_input, k))} *
+                         geometry_.slotsPerBucket();
+        return d.front ? base + d.offset
+                       : base + geometry_.frontSlots + d.offset;
+    }
 
     /** Candidate buckets for a page identified by (ASID, VPN). */
     CandidateSet

@@ -76,6 +76,16 @@ class GhostTracker
     /** A live frame was touched: move it to most recently used. */
     void touchLive(Pfn pfn) { liveOrder_.touch(pfn); }
 
+    /** Prefetch what touchLive(pfn) reads first: its node. */
+    void prefetchLive(Pfn pfn) const { liveOrder_.prefetch(pfn); }
+
+    /** Prefetch the live-order neighbours touchLive(pfn) relinks. */
+    void
+    prefetchLiveNeighbours(Pfn pfn) const
+    {
+        liveOrder_.prefetchNeighbours(pfn);
+    }
+
     /** A frame was (re)mapped: append as most recently used. */
     void recordLive(Pfn pfn) { liveOrder_.pushBack(pfn); }
 

@@ -92,6 +92,29 @@ class LruList
         --size_;
     }
 
+    /** Prefetch the frame's node (read by touch/remove). */
+    void
+    prefetch(Pfn pfn) const
+    {
+        if (pfn < nodes_.size())
+            __builtin_prefetch(&nodes_[pfn]);
+    }
+
+    /** Prefetch the nodes linked before and after the frame, which
+     *  touch/remove rewrite; the frame's own node must be cached
+     *  already for this to pay off. A no-op for unlinked frames. */
+    void
+    prefetchNeighbours(Pfn pfn) const
+    {
+        if (pfn >= nodes_.size() || !nodes_[pfn].linked)
+            return;
+        const Node &n = nodes_[pfn];
+        if (n.prev != npos)
+            __builtin_prefetch(&nodes_[n.prev]);
+        if (n.next != npos)
+            __builtin_prefetch(&nodes_[n.next]);
+    }
+
     /** The least-recently-used frame; list must be nonempty. */
     Pfn
     front() const

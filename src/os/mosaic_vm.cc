@@ -1,6 +1,7 @@
 #include "os/mosaic_vm.hh"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 namespace mosaic
@@ -89,16 +90,16 @@ MosaicVm::hashInputFor(Asid asid, Vpn vpn)
 }
 
 std::optional<std::uint64_t>
-MosaicVm::hashInputIfBound(Asid asid, Vpn vpn)
+MosaicVm::hashInputIfBound(Asid asid, Vpn vpn) const
 {
     if (config_.sharing == SharingMode::PageIdHash)
         return packPageId(PageId{asid, vpn});
-    MosaicPageTable &pt = pageTable(asid);
+    const unsigned log2_arity = ceilLog2(config_.arity);
     const std::uint64_t *bound =
-        locationIds_.find(TocKey{asid, pt.mvpnOf(vpn)});
+        locationIds_.find(TocKey{asid, vpn >> log2_arity});
     if (!bound)
         return std::nullopt;
-    return (*bound << 6) | pt.offsetOf(vpn);
+    return (*bound << 6) | (vpn & (config_.arity - 1));
 }
 
 void
@@ -180,9 +181,7 @@ MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
         const MosaicWalkResult walk = pt.walk(v);
         if (!walk.present)
             continue;
-        const CandidateSet cand =
-            allocator_.mapper().candidates(*key);
-        const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
+        const Pfn pfn = allocator_.mapper().pfnOf(*key, walk.cpfn);
         // Unlike eviction, releasing a range writes nothing back:
         // the contents are dead. Clear every mapping of the frame
         // (shared ToCs release for all sharers at once).
@@ -230,9 +229,8 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
             const MosaicWalkResult walk = src_pt.walk(sv);
             if (walk.present) {
                 dst_pt.setCpfn(dv, walk.cpfn);
-                const CandidateSet cand = allocator_.mapper().candidates(
-                    hashInputFor(src_asid, sv));
-                const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
+                const Pfn pfn = allocator_.mapper().pfnOf(
+                    hashInputFor(src_asid, sv), walk.cpfn);
                 sharers_[pfn].emplace_back(dst_asid, dv);
             }
         }
@@ -242,50 +240,50 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
 Pfn
 MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
+    // The hash input comes first: in LocationId mode it may create the
+    // ToC's binding, which draws the RNG. A present page then needs
+    // only the one hash output its CPFN names; the full candidate set
+    // is built only to place a faulting page.
     const std::uint64_t hash_input = hashInputFor(asid, vpn);
-    const CandidateSet cand = allocator_.mapper().candidates(hash_input);
-    return touchPrepared(asid, vpn, write, hash_input, cand, nullptr,
-                         nullptr);
+    MosaicPageTable &pt = pageTable(asid);
+    const MosaicWalkResult walk = pt.walk(vpn);
+    const MosaicMapper &mapper = allocator_.mapper();
+    if (walk.present)
+        return touchResident(mapper.pfnOf(hash_input, walk.cpfn), write);
+    return touchFault(pt, asid, vpn, write, hash_input,
+                      mapper.candidates(hash_input));
+}
+
+void
+MosaicVm::noteAccess(Pfn pfn, bool write)
+{
+    if (frames_.frame(pfn).lastAccess < horizon_) {
+        // A resident ghost was referenced again: a strict global LRU
+        // would have evicted it; Horizon LRU rescues it. It rejoins
+        // the live order as most recently used.
+        ++stats_.ghostRescues;
+        ghosts_.rescue(pfn);
+    } else {
+        ghosts_.touchLive(pfn);
+    }
+    frames_.touch(pfn, clock_, write);
+    if (config_.policy == EvictionPolicy::ShrunkenCache)
+        globalLru_.touch(pfn);
 }
 
 Pfn
-MosaicVm::touchPrepared(Asid asid, Vpn vpn, bool write,
-                        std::uint64_t hash_input,
-                        const CandidateSet &cand, const WalkHint *hint,
-                        bool *mutated)
+MosaicVm::touchResident(Pfn pfn, bool write)
 {
     ++clock_;
-    MosaicPageTable &pt = pageTable(asid);
+    noteAccess(pfn, write);
+    return pfn;
+}
 
-    WalkHint walk;
-    if (hint) {
-        walk = *hint;
-    } else {
-        const MosaicWalkResult walked = pt.walk(vpn);
-        walk = WalkHint{walked.cpfn, walked.present};
-    }
-
-    if (walk.present) {
-        const Pfn pfn = allocator_.mapper().toPfn(cand, walk.cpfn);
-        if (frames_.frame(pfn).lastAccess < horizon_) {
-            // A resident ghost was referenced again: a strict global
-            // LRU would have evicted it; Horizon LRU rescues it. It
-            // rejoins the live order as most recently used.
-            ++stats_.ghostRescues;
-            ghosts_.rescue(pfn);
-        } else {
-            ghosts_.touchLive(pfn);
-        }
-        frames_.touch(pfn, clock_, write);
-        if (config_.policy == EvictionPolicy::ShrunkenCache)
-            globalLru_.touch(pfn);
-        return pfn;
-    }
-
-    // Page fault. Every path below changes a page->frame mapping, so
-    // batch walk hints captured before this op are no longer current.
-    if (mutated)
-        *mutated = true;
+Pfn
+MosaicVm::touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
+                     std::uint64_t hash_input, const CandidateSet &cand)
+{
+    ++clock_;
     const bool major = swap_.contains(hash_input);
 
     if (config_.sharing == SharingMode::LocationId) {
@@ -304,17 +302,9 @@ MosaicVm::touchPrepared(Asid asid, Vpn vpn, bool write,
                 const Pfn pfn = allocator_.mapper().toPfn(cand, peer.cpfn);
                 pt.setCpfn(vpn, peer.cpfn);
                 sharers_[pfn].emplace_back(asid, vpn);
-                if (frames_.frame(pfn).lastAccess < horizon_) {
-                    // Adopting a ghost frame rescues it exactly like a
-                    // direct hit on one would.
-                    ++stats_.ghostRescues;
-                    ghosts_.rescue(pfn);
-                } else {
-                    ghosts_.touchLive(pfn);
-                }
-                frames_.touch(pfn, clock_, write);
-                if (config_.policy == EvictionPolicy::ShrunkenCache)
-                    globalLru_.touch(pfn);
+                // Adopting a ghost frame rescues it exactly like a
+                // direct hit on one would.
+                noteAccess(pfn, write);
                 ++stats_.minorFaults;
                 return pfn;
             }
@@ -405,65 +395,111 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
     }
 
     const std::size_t n = block.size();
-    batchInputs_.resize(n);
-    batchCands_.resize(n);
-    batchOrder_.resize(n);
-    batchHints_.assign(n, WalkHint{});
-
-    // Stage 1: batched hashing. packPageId is exactly hashInputFor in
-    // PageIdHash mode, and candidatesMany charges the same per-key
-    // probe reads as the scalar candidates() calls it replaces.
-    for (std::size_t i = 0; i < n; ++i) {
-        batchInputs_[i] =
-            packPageId(PageId{block[i].asid, block[i].vpn});
-        batchOrder_[i] = static_cast<std::uint32_t>(i);
-    }
     const MosaicMapper &mapper = allocator_.mapper();
-    mapper.candidatesMany(batchInputs_, batchCands_.data());
+    const Cpfn unmapped = mapper.codec().invalid();
 
-    // Stage 2: warm pass, visiting the block sorted by frame-table
-    // region so each candidate bucket's metadata is pulled in once,
-    // with the lines prefetched a fixed lookahead ahead of the page
-    // walks that consume them. Walks here are read-only.
-    std::stable_sort(batchOrder_.begin(), batchOrder_.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                         return batchCands_[a].frontBucket <
-                                batchCands_[b].frontBucket;
-                     });
-    constexpr std::size_t lookahead = 8;
-    const unsigned slots_per_bucket =
-        mapper.geometry().slotsPerBucket();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + lookahead < n) {
-            const CandidateSet &c = batchCands_[batchOrder_[i + lookahead]];
-            frames_.prefetchRange(mapper.frontBase(c),
-                                  slots_per_bucket);
-        }
-        const std::uint32_t idx = batchOrder_[i];
-        // find(), not pageTable(): the warm pass must not create
-        // address spaces — a missing table just means "not present",
-        // which the zero-initialized hint already says.
-        if (auto *table = tables_.find(block[idx].asid)) {
-            const MosaicWalkResult walked =
-                (*table)->walk(block[idx].vpn);
-            batchHints_[idx] = WalkHint{walked.cpfn, walked.present};
-        }
-    }
+    // Faults applied so far. A touch staged at an earlier count may
+    // predate a mapping change, so apply re-walks instead of using it.
+    std::uint64_t faults = 0;
 
-    // Stage 3: apply in the caller's original order — the determinism
-    // contract. Hints are trusted only until the first mapping
-    // mutation in the block; afterwards the remaining touches re-walk
-    // (a fault may have mapped a page a later hint says is absent).
-    bool hints_valid = true;
+    // A rolling software pipeline over the block. Each stage reads
+    // only what the stage before it prefetched, a fixed distance
+    // ahead of the in-order apply at i: the page-table leaf at
+    // i + leafAhead; the walk, pfnOf and the frame/LRU-node prefetch
+    // at i + walkAhead; the LRU neighbours (which the live-order
+    // relink writes) at i + lruAhead. Staging only reads.
+    // Short distances on purpose: each touch keeps ~6 lines in
+    // flight, and longer ones (12/6/3, 16/8/3) measured slower on
+    // micro_batch, probably because more prefetches were then
+    // outstanding than the core has line fill buffers.
+    constexpr std::size_t leafAhead = 8;
+    constexpr std::size_t walkAhead = 4;
+    constexpr std::size_t lruAhead = 2;
+    // Staged touches live in a ring: slot j % 16 holds touch j's from
+    // its leaf stage until its apply, leafAhead touches later.
+    std::array<StagedTouch, 16> staged;
+    static_assert(leafAhead < staged.size());
+    const auto stagedAt = [&](std::size_t j) -> StagedTouch & {
+        return staged[j % staged.size()];
+    };
+    // The last table found, kept because blocks usually come from
+    // one address space. Tables are never destroyed, so the pointer
+    // stays valid; an absent table is never cached, because a fault
+    // may create it.
+    Asid last_asid = 0;
+    const MosaicPageTable *last_table = nullptr;
+    const auto stageLeaf = [&](std::size_t j) {
+        StagedTouch &st = stagedAt(j);
+        st = StagedTouch{nullptr, nullptr, invalidPfn, faults};
+        if (!last_table || last_asid != block[j].asid) {
+            // find(), not pageTable(): staging must not create address
+            // spaces — a missing table just means "not present".
+            const auto *table = tables_.find(block[j].asid);
+            if (!table)
+                return;
+            last_asid = block[j].asid;
+            last_table = table->get();
+        }
+        st.table = last_table;
+        st.leaf = st.table->findLeaf(block[j].vpn);
+        if (st.leaf) {
+            __builtin_prefetch(
+                &st.leaf->cpfns[st.table->offsetOf(block[j].vpn)]);
+            __builtin_prefetch(&st.leaf->initialized);
+        }
+    };
+    const auto stageWalk = [&](std::size_t j) {
+        StagedTouch &st = stagedAt(j);
+        if (!st.table)
+            return;
+        const Cpfn cpfn = st.table->cpfnIn(st.leaf, block[j].vpn);
+        if (cpfn == unmapped)
+            return;
+        st.pfn = mapper.pfnOf(
+            packPageId(PageId{block[j].asid, block[j].vpn}), cpfn);
+        frames_.prefetch(st.pfn);
+        ghosts_.prefetchLive(st.pfn);
+    };
+    const auto stageNeighbours = [&](std::size_t j) {
+        if (stagedAt(j).pfn != invalidPfn)
+            ghosts_.prefetchLiveNeighbours(stagedAt(j).pfn);
+    };
+
+    for (std::size_t j = 0; j < std::min(n, leafAhead); ++j)
+        stageLeaf(j);
+    for (std::size_t j = 0; j < std::min(n, walkAhead); ++j)
+        stageWalk(j);
+    for (std::size_t j = 0; j < std::min(n, lruAhead); ++j)
+        stageNeighbours(j);
+
+    // Apply in the caller's original order — the determinism
+    // contract: every touch has exactly the effects scalar touch()
+    // would have had at this point of the stream.
     for (std::size_t i = 0; i < n; ++i) {
-        bool op_mutated = false;
-        out[i] = touchPrepared(block[i].asid, block[i].vpn,
-                               block[i].write, batchInputs_[i],
-                               batchCands_[i],
-                               hints_valid ? &batchHints_[i] : nullptr,
-                               &op_mutated);
-        if (op_mutated)
-            hints_valid = false;
+        if (i + leafAhead < n)
+            stageLeaf(i + leafAhead);
+        if (i + walkAhead < n)
+            stageWalk(i + walkAhead);
+        if (i + lruAhead < n)
+            stageNeighbours(i + lruAhead);
+
+        const PageTouch &t = block[i];
+        const std::uint64_t hash_input = packPageId(PageId{t.asid, t.vpn});
+        Pfn pfn = stagedAt(i).pfn;
+        if (stagedAt(i).faults != faults) {
+            const MosaicWalkResult walked = pageTable(t.asid).walk(t.vpn);
+            pfn = walked.present ? mapper.pfnOf(hash_input, walked.cpfn)
+                                 : invalidPfn;
+        }
+        if (pfn != invalidPfn) {
+            out[i] = touchResident(pfn, t.write);
+            continue;
+        }
+        // Every fault changes a page->frame mapping, which retires
+        // the touches staged before it.
+        ++faults;
+        out[i] = touchFault(pageTable(t.asid), t.asid, t.vpn, t.write,
+                            hash_input, mapper.candidates(hash_input));
     }
 }
 

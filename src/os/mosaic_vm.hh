@@ -112,18 +112,20 @@ class MosaicVm : public VirtualMemory
     Pfn touch(Asid asid, Vpn vpn, bool write) override;
 
     /**
-     * Batched touch (ROADMAP item 2): stages the block as (1) batched
-     * tabulation hashing of every page's candidate set, (2) a warm
-     * pass visiting the block sorted by frame-table region with the
-     * candidate buckets' metadata prefetched a fixed lookahead ahead
-     * of the page walks that consume them, then (3) applies every
-     * touch in the caller's original order so results, stats, and
-     * placements are bit-identical to a scalar touch() loop. Walk
-     * hints gathered by the warm pass are trusted only until the
-     * first mapping mutation (fault/eviction) in the block; later
-     * touches re-walk. LocationId sharing derives hash inputs
-     * statefully (binding creation draws the RNG), so that mode —
-     * and trivial blocks — run the scalar loop directly.
+     * Batched touch (DESIGN.md §13): runs the block through a rolling
+     * software pipeline. A fixed distance ahead of the touch being
+     * applied, it prefetches the page-table leaf, then walks and
+     * resolves a present page with MosaicMapper::pfnOf (one hash
+     * output) while prefetching its frame record and live-order node,
+     * then prefetches that node's neighbours. Every touch is applied
+     * in the caller's order with exactly scalar touch()'s effects, so
+     * results, stats, and placements are bit-identical to a touch()
+     * loop. A staged walk is trusted only if no fault was applied
+     * between staging and applying it; otherwise the touch re-walks.
+     * Only a fault builds the full candidate set. LocationId sharing
+     * derives hash inputs statefully (binding creation draws the
+     * RNG), so that mode — and trivial blocks — run the scalar loop
+     * directly.
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 
@@ -157,6 +159,13 @@ class MosaicVm : public VirtualMemory
 
     /** Swap-device counters (for telemetry and tests). */
     const SwapDevice &swapDevice() const { return swap_; }
+
+    /** Placement-hash input of (asid, vpn) without creating a
+     *  location-ID binding: nullopt when its ToC has no binding
+     *  (LocationId mode only — such a ToC was never touched, so
+     *  nothing can reference it). For inspection and tests. */
+    std::optional<std::uint64_t> hashInputIfBound(Asid asid,
+                                                  Vpn vpn) const;
 
     /** Live ToC -> location-ID bindings (LocationId mode; tests). */
     std::size_t locationBindings() const { return locationIds_.size(); }
@@ -228,31 +237,38 @@ class MosaicVm : public VirtualMemory
         }
     };
 
-    /** Page-walk outcome captured by touchBatch's warm pass. */
-    struct WalkHint
+    /** A touch staged by touchBatch's pipeline ahead of its apply. */
+    struct StagedTouch
     {
-        Cpfn cpfn{};
-        bool present = false;
+        /** The page's table; nullptr when its ASID has none. */
+        const MosaicPageTable *table = nullptr;
+
+        /** The page's leaf in it; nullptr when it has none. */
+        const Toc *leaf = nullptr;
+
+        /** The resolved frame; invalidPfn when the page is absent. */
+        Pfn pfn = invalidPfn;
+
+        /** Faults the batch had applied when the leaf was staged. */
+        std::uint64_t faults = 0;
     };
 
-    /**
-     * The body of touch() after the hash input and candidate set are
-     * known. @p hint, when given, replaces the page walk (the caller
-     * guarantees it is current). @p mutated, when given, is set when
-     * the touch changed any page->frame mapping — the signal that
-     * invalidates remaining batch walk hints.
-     */
-    Pfn touchPrepared(Asid asid, Vpn vpn, bool write,
-                      std::uint64_t hash_input, const CandidateSet &cand,
-                      const WalkHint *hint, bool *mutated);
+    /** Hit bookkeeping for an access to resident frame @p pfn at the
+     *  current clock: ghost rescue or live-order touch, frame
+     *  timestamp and dirty bit, ShrunkenCache order. */
+    void noteAccess(Pfn pfn, bool write);
+
+    /** A touch of a page the walk found resident in @p pfn. */
+    Pfn touchResident(Pfn pfn, bool write);
+
+    /** A touch of a page the walk of @p pt (asid's table) found
+     *  absent: sharer adoption or placement (with eviction) and
+     *  swap-in. Always changes a page->frame mapping. */
+    Pfn touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
+                   std::uint64_t hash_input, const CandidateSet &cand);
 
     /** Placement-hash input for one base page. */
     std::uint64_t hashInputFor(Asid asid, Vpn vpn);
-
-    /** Like hashInputFor, but never creates a location-ID binding:
-     *  nullopt when the ToC has no binding (LocationId mode only —
-     *  such a ToC was never touched, so nothing can reference it). */
-    std::optional<std::uint64_t> hashInputIfBound(Asid asid, Vpn vpn);
 
     /** Drop the ToC's location-ID binding when no sub-page of it is
      *  resident or swapped out; no-op while any is still live. */
@@ -323,13 +339,6 @@ class MosaicVm : public VirtualMemory
     /** LocationId mode: frame -> sharing mappings beyond the owner.
      *  Only frames referenced by shared ToCs appear here. */
     FlatMap<Pfn, std::vector<std::pair<Asid, Vpn>>> sharers_;
-
-    /** touchBatch scratch, kept across calls so steady-state batches
-     *  allocate nothing. MosaicVm is single-threaded by contract. */
-    std::vector<std::uint64_t> batchInputs_;
-    std::vector<CandidateSet> batchCands_;
-    std::vector<std::uint32_t> batchOrder_;
-    std::vector<WalkHint> batchHints_;
 };
 
 } // namespace mosaic

@@ -71,6 +71,22 @@ class MosaicPageTable
     /** Walk for a VPN; also yields the whole ToC for TLB fill. */
     MosaicWalkResult walk(Vpn vpn) const;
 
+    /**
+     * The leaf walk(vpn) reads, located without reading it so that a
+     * pipeline can prefetch it before cpfnIn() reads it: nullptr when
+     * no leaf node exists yet. Never creates nodes. A leaf keeps its
+     * address for the table's lifetime.
+     */
+    const Toc *findLeaf(Vpn vpn) const { return tree_.find(mvpnOf(vpn)); }
+
+    /** The CPFN walk(vpn) yields, read from findLeaf(vpn)'s result. */
+    Cpfn
+    cpfnIn(const Toc *leaf, Vpn vpn) const
+    {
+        return leaf && leaf->initialized ? leaf->cpfns[offsetOf(vpn)]
+                                         : unmapped_;
+    }
+
     /** Number of base pages currently mapped. */
     std::uint64_t mappedPages() const { return mapped_; }
 

@@ -49,12 +49,6 @@ class BitVec
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
 
-    /** Address of the word holding bit i, for prefetch hints. */
-    const std::uint64_t *wordAddr(std::size_t i) const
-    {
-        return &words_[i >> 6];
-    }
-
     /**
      * Bits [base, base + width) as one word (bit k of the result is
      * bit base + k), for width in [1, 64]. Bits past size() read 0.

@@ -88,16 +88,11 @@ Graph500::generateAndBuild()
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint64_t src = 0, dst = 0;
         for (unsigned level = 0; level < levels; ++level) {
+            // Branch-free quadrant pick: the same three comparisons an
+            // if/else chain makes, summed, so no draw is mispredicted.
             const double r = rng.uniform();
-            unsigned quad;
-            if (r < a)
-                quad = 0;
-            else if (r < a + b)
-                quad = 1;
-            else if (r < a + b + c)
-                quad = 2;
-            else
-                quad = 3;
+            const unsigned quad = unsigned{r >= a} + unsigned{r >= a + b} +
+                                  unsigned{r >= a + b + c};
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }

@@ -11,6 +11,7 @@
 #define MOSAIC_WORKLOADS_GRAPH500_HH_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/random.hh"
@@ -51,6 +52,12 @@ class Graph500 : public Workload
 
     /** Undirected edge endpoints stored in the CSR (2x generated). */
     std::uint64_t numAdjEntries() const { return adj_.size(); }
+
+    /** The CSR row offsets (numVertices + 1 entries; for tests). */
+    std::span<const std::uint64_t> csrOffsets() const { return xadj_; }
+
+    /** The CSR adjacency array (for tests). */
+    std::span<const std::uint32_t> csrAdjacency() const { return adj_; }
 
     /** Vertices reached by the most recent BFS (for tests). */
     std::uint64_t lastBfsReached() const { return lastReached_; }

@@ -9,6 +9,8 @@
  */
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -198,6 +200,99 @@ TEST(BatchPipeline, LocationIdModeFallsBackToScalarResults)
                 SharingMode::LocationId, block);
             ASSERT_EQ(scalar, batched)
                 << "seed=" << seed << " block=" << block;
+        }
+    }
+}
+
+/** Expect @p pfn to be the frame the page's walk names right now,
+ *  resolved the plain way: the full candidate set, then toPfn. The
+ *  touch paths resolve present pages with pfnOf instead. */
+void
+expectPlainResolution(MosaicVm &vm, const PageTouch &t, Pfn pfn)
+{
+    const MosaicWalkResult walk = vm.pageTable(t.asid).walk(t.vpn);
+    ASSERT_TRUE(walk.present) << "asid " << t.asid << " vpn " << t.vpn;
+    const std::optional<std::uint64_t> input =
+        vm.hashInputIfBound(t.asid, t.vpn);
+    ASSERT_TRUE(input.has_value());
+    const MosaicMapper &m = vm.allocator().mapper();
+    ASSERT_EQ(m.toPfn(m.candidates(*input), walk.cpfn), pfn)
+        << "asid " << t.asid << " vpn " << t.vpn;
+}
+
+TEST(BatchPipeline, ReturnedPfnsMatchCandidateSetResolution)
+{
+    // Under pressure (faults, evictions, ghost rescues, and in
+    // LocationId mode shared frames), every PFN touch() returns is
+    // checked right after its touch. A touchBatch block is checked
+    // after the block at each page's last touch in it (a later touch
+    // in the block can only evict that page, never move it), and its
+    // PFNs must equal the scalar ones.
+    for (const SharingMode sharing :
+         {SharingMode::PageIdHash, SharingMode::LocationId}) {
+        for (const EvictionPolicy policy :
+             {EvictionPolicy::HorizonLru, EvictionPolicy::LocalLru,
+              EvictionPolicy::ShrunkenCache}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                const auto stream = makeStream(seed, 6007, 3072, 2);
+                std::vector<Pfn> scalar;
+                for (const unsigned block : {1u, 7u, 64u, 128u}) {
+                    MosaicVm vm(mosaicConfig(seed, policy, sharing));
+                    if (sharing == SharingMode::LocationId)
+                        vm.shareRange(1, 0, 2, 0, 256);
+                    std::vector<Pfn> pfns(stream.size());
+                    for (std::size_t i = 0; i < stream.size();
+                         i += block) {
+                        const std::size_t n = std::min<std::size_t>(
+                            block, stream.size() - i);
+                        const std::span<const PageTouch> part(
+                            &stream[i], n);
+                        if (block == 1) {
+                            pfns[i] = vm.touch(part[0].asid,
+                                               part[0].vpn,
+                                               part[0].write);
+                        } else {
+                            vm.touchBatch(part, &pfns[i]);
+                        }
+                        std::map<std::pair<Asid, Vpn>, std::size_t> last;
+                        for (std::size_t k = 0; k < n; ++k)
+                            last[{part[k].asid, part[k].vpn}] = k;
+                        for (const auto &[page, k] : last) {
+                            if (vm.pageTable(page.first)
+                                    .walk(page.second)
+                                    .present) {
+                                expectPlainResolution(vm, part[k],
+                                                      pfns[i + k]);
+                            } else {
+                                ASSERT_GT(block, 1u);
+                            }
+                        }
+                    }
+                    if (block == 1) {
+                        scalar = pfns;
+                    } else {
+                        ASSERT_EQ(pfns, scalar) << "block " << block;
+                    }
+                    if (policy == EvictionPolicy::HorizonLru) {
+                        EXPECT_GT(vm.stats().ghostRescues, 0u);
+                    }
+                    if (sharing == SharingMode::LocationId) {
+                        // The shared range really is shared: pages
+                        // resident through both mappings name one
+                        // frame.
+                        unsigned both = 0;
+                        for (Vpn v = 0; v < 256; ++v) {
+                            const auto a = vm.pageTable(1).walk(v);
+                            const auto b = vm.pageTable(2).walk(v);
+                            if (a.present && b.present) {
+                                ++both;
+                                ASSERT_EQ(a.cpfn, b.cpfn) << "vpn " << v;
+                            }
+                        }
+                        EXPECT_GT(both, 0u);
+                    }
+                }
+            }
         }
     }
 }

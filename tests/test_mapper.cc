@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "mem/mosaic_mapper.hh"
+#include "util/random.hh"
 
 namespace mosaic
 {
@@ -105,6 +108,123 @@ TEST(Mapper, CpfnPfnRoundTripOverAllCandidates)
             }
         }
     }
+}
+
+/** Geometries for the pfnOf differential: the paper default, a
+ *  small odd one with a non-power-of-two bucket count, and one whose
+ *  1 + d outputs exceed TabulationHash::maxProbes, so candidates()
+ *  takes the hashMany fallback. */
+std::vector<MemoryGeometry>
+pfnOfGeometries()
+{
+    std::vector<MemoryGeometry> out;
+    out.push_back(geometry());
+
+    MemoryGeometry odd;
+    odd.frontSlots = 24;
+    odd.backSlots = 4;
+    odd.backChoices = 3;
+    odd.hashSeed = 77;
+    odd.numFrames = 97 * odd.slotsPerBucket();
+    out.push_back(odd);
+
+    MemoryGeometry wide;
+    wide.backChoices = 10;
+    wide.backSlots = 4;
+    wide.hashSeed = 5;
+    wide.numFrames = 300 * wide.slotsPerBucket();
+    out.push_back(wide);
+    return out;
+}
+
+/** Every valid CPFN of the codec: each front offset, then each
+ *  (backyard choice, offset). */
+std::vector<Cpfn>
+allCpfns(const MemoryGeometry &g, const CpfnCodec &codec)
+{
+    std::vector<Cpfn> out;
+    for (unsigned off = 0; off < g.frontSlots; ++off)
+        out.push_back(codec.encodeFront(off));
+    for (unsigned k = 0; k < g.backChoices; ++k) {
+        for (unsigned off = 0; off < g.backSlots; ++off)
+            out.push_back(codec.encodeBack(k, off));
+    }
+    return out;
+}
+
+TEST(Mapper, PfnOfEqualsToPfnOfCandidates)
+{
+    const std::vector<MemoryGeometry> geometries = pfnOfGeometries();
+    ASSERT_GT(geometries.back().backChoices + 1,
+              TabulationHash::maxProbes);
+    for (const MemoryGeometry &g : geometries) {
+        const MosaicMapper m(g);
+        const std::vector<Cpfn> cpfns = allCpfns(g, m.codec());
+        ASSERT_EQ(cpfns.size(), g.associativity());
+        Rng rng(g.hashSeed);
+        for (unsigned i = 0; i < 10000; ++i) {
+            // Mix in packed (ASID, VPN) keys next to raw 64-bit ones.
+            const std::uint64_t input =
+                i % 2 ? rng() : packPageId(PageId{1, rng.below(1 << 20)});
+            const CandidateSet c = m.candidates(input);
+            for (const Cpfn cpfn : cpfns) {
+                ASSERT_EQ(m.pfnOf(input, cpfn), m.toPfn(c, cpfn))
+                    << "d " << g.backChoices << " input " << input
+                    << " cpfn " << unsigned(cpfn);
+            }
+        }
+    }
+}
+
+TEST(Mapper, SharedConstMapperAgreesAcrossThreads)
+{
+    // Four threads read one const mapper at once. Every read path is
+    // free of shared writes (probe reads are returned, not counted in
+    // the hash), so each thread sees exactly the serial results.
+    const MemoryGeometry g = geometry();
+    const MosaicMapper m(g);
+    const std::vector<Cpfn> cpfns = allCpfns(g, m.codec());
+    std::vector<std::uint64_t> inputs(4096);
+    Rng rng(42);
+    for (std::uint64_t &input : inputs)
+        input = rng();
+
+    const auto digestOf = [&](const CandidateSet &c) {
+        std::uint64_t d = c.frontBucket;
+        for (unsigned k = 0; k < c.numBackChoices; ++k)
+            d = d * 1000003 + c.backBuckets[k];
+        return d;
+    };
+    std::vector<std::uint64_t> serial_cands;
+    std::vector<Pfn> serial_pfns;
+    for (const std::uint64_t input : inputs) {
+        serial_cands.push_back(digestOf(m.candidates(input)));
+        for (const Cpfn cpfn : cpfns)
+            serial_pfns.push_back(m.pfnOf(input, cpfn));
+    }
+
+    constexpr unsigned threads = 4;
+    std::vector<unsigned> mismatches(threads, 0);
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            for (unsigned rep = 0; rep < 4; ++rep) {
+                std::size_t p = 0;
+                for (std::size_t i = 0; i < inputs.size(); ++i) {
+                    mismatches[t] +=
+                        digestOf(m.candidates(inputs[i])) !=
+                        serial_cands[i];
+                    for (const Cpfn cpfn : cpfns)
+                        mismatches[t] +=
+                            m.pfnOf(inputs[i], cpfn) != serial_pfns[p++];
+                }
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    for (unsigned t = 0; t < threads; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(Mapper, AssociativityIs104DistinctFramesUsually)

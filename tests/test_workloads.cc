@@ -136,6 +136,39 @@ TEST(Graph500, DeterministicTrace)
     }
 }
 
+TEST(Graph500, CsrIsPinnedAtTwoSeeds)
+{
+    // FNV-1a digests of the CSR (xadj then adj, each entry as 8
+    // little-endian bytes), recorded before the R-MAT quadrant pick
+    // went branch-free: the generator must stay bit-identical.
+    const auto digest = [](const Graph500 &g) {
+        std::uint64_t d = 0xcbf29ce484222325ull;
+        const auto mix = [&d](std::uint64_t v) {
+            for (unsigned i = 0; i < 8; ++i) {
+                d ^= (v >> (8 * i)) & 0xFF;
+                d *= 0x100000001B3ull;
+            }
+        };
+        for (const std::uint64_t x : g.csrOffsets())
+            mix(x);
+        for (const std::uint32_t x : g.csrAdjacency())
+            mix(x);
+        return d;
+    };
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {1, 16994813260709141137ull},
+        {2, 13354290289608008335ull},
+    };
+    for (const auto &[seed, expected] : pinned) {
+        Graph500Config c = tinyGraph();
+        c.seed = seed;
+        const Graph500 g(c);
+        ASSERT_EQ(g.csrOffsets().size(), 4097u);
+        ASSERT_EQ(g.csrAdjacency().size(), 4096u * 8 * 2);
+        EXPECT_EQ(digest(g), expected) << "seed " << seed;
+    }
+}
+
 TEST(Graph500, ConstructionTracingAddsKernel1)
 {
     Graph500Config with = tinyGraph();
