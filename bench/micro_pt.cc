@@ -1,11 +1,16 @@
 /**
  * @file
  * Microbenchmarks for the page-table structures: radix vs hashed
- * walks (software cost of the model itself), mapping installation,
- * and the walk-cache lookup path.
+ * walks (software cost of the model itself), walks across many
+ * sparse tables, mapping installation, and the walk-cache lookup
+ * path.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench_gbench.hh"
 
@@ -13,6 +18,7 @@
 #include "pt/mosaic_page_table.hh"
 #include "pt/vanilla_page_table.hh"
 #include "pt/walk_cache.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -48,6 +54,35 @@ BM_MosaicPtWalk(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MosaicPtWalk);
+
+void
+BM_MosaicPtWalkSparseTenants(benchmark::State &state)
+{
+    // Many small address spaces: 1,024 tables of 23 pages each,
+    // walked in random order — the shape of a many-tenant machine,
+    // where the tables' node footprint decides the cache misses.
+    constexpr std::size_t tenants = 1024;
+    constexpr Vpn pages = 23;
+    std::vector<std::unique_ptr<MosaicPageTable>> tables;
+    for (std::size_t t = 0; t < tenants; ++t) {
+        tables.push_back(std::make_unique<MosaicPageTable>(4, 0x7F));
+        for (Vpn v = 0; v < pages; ++v)
+            tables.back()->setCpfn(v, static_cast<Cpfn>((t + v) % 104));
+    }
+    Rng rng(1);
+    std::vector<std::pair<const MosaicPageTable *, Vpn>> probes(1 << 16);
+    for (auto &[table, vpn] : probes) {
+        table = tables[rng.below(tenants)].get();
+        vpn = rng.below(pages);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto &[table, vpn] = probes[i++ & (probes.size() - 1)];
+        benchmark::DoNotOptimize(table->walk(vpn));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MosaicPtWalkSparseTenants);
 
 void
 BM_HashedPtWalk(benchmark::State &state)

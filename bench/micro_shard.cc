@@ -1,13 +1,16 @@
 /**
  * @file
  * Microbenchmarks for the sharded VM engine (DESIGN.md §17): the
- * Lemire route itself, the resident-touch hot path at 1 and 8 shards
+ * Lemire route itself, forward-aware routing over many tenants,
+ * the resident-touch hot path at 1 and 8 shards
  * (the sharding tax on the common case), a steady steal/unmap cycle
  * (the reclaim path, forwarding entry included), and a cross-shard
  * adoption round trip (mailbox post + drain + forwarded share).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bench_gbench.hh"
 
@@ -40,6 +43,39 @@ BM_ShardRoute(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardRoute);
+
+void
+BM_ShardRouteForwarded(benchmark::State &state)
+{
+    // routeOf over 1,024 ASIDs while ~40 pages of 40 different ASIDs
+    // are forwarded off home, as in a many-tenant machine after its
+    // fill. Compare with BM_ShardRoute: the gap is what routing pays
+    // for the forward map (DESIGN.md §17.4).
+    ShardedMosaicVm vm(shardedConfig(4, 64 * 8));
+    constexpr std::size_t tenants = 1024;
+    std::vector<Asid> home0;
+    for (std::size_t a = 1; a <= tenants; ++a) {
+        if (vm.homeShard(static_cast<Asid>(a)) == 0)
+            home0.push_back(static_cast<Asid>(a));
+    }
+    // Fill shard 0 round-robin, then fault fresh pages of 40 of its
+    // tenants: the dry home hard-conflicts and each one steals.
+    std::size_t i = 0;
+    for (; vm.shard(0).residentPages() < vm.shard(0).numFrames(); ++i)
+        vm.touch(home0[i % home0.size()], Vpn{i / home0.size()}, true);
+    for (std::size_t k = 0; vm.counters().steals < 40; ++k)
+        vm.touch(home0[k % home0.size()], Vpn{1000 + k}, true);
+    std::size_t n = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(vm.routeOf(
+            static_cast<Asid>(1 + n % tenants), Vpn{(n / tenants) % 64}));
+        ++n;
+    }
+    state.counters["forwards"] =
+        static_cast<double>(vm.forwardEntries());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardRouteForwarded);
 
 void
 BM_ShardTouchResident(benchmark::State &state)

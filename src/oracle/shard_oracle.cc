@@ -1,5 +1,6 @@
 #include "oracle/shard_oracle.hh"
 
+#include <map>
 #include <sstream>
 
 namespace mosaic
@@ -144,6 +145,35 @@ checkShardConservation(const ShardedMosaicVm &vm, bool deep)
     });
     if (bad)
         return bad;
+
+    // Routing counts: the per-ASID forward counts routeOf trusts to
+    // skip its probe must equal a recount of the entries themselves.
+    std::map<Asid, std::size_t> recount;
+    vm.forEachForward([&](std::uint64_t key, std::uint32_t) {
+        ++recount[static_cast<Asid>(key >> 48)];
+    });
+    vm.forEachForwardCount([&](Asid asid, std::size_t count) {
+        if (bad)
+            return;
+        const auto it = recount.find(asid);
+        const std::size_t want = it == recount.end() ? 0 : it->second;
+        if (count != want) {
+            std::ostringstream out;
+            out << "asid " << asid << " forward count " << count
+                << " != " << want << " entries";
+            bad = out.str();
+        }
+        if (it != recount.end())
+            recount.erase(it);
+    });
+    if (bad)
+        return bad;
+    if (!recount.empty()) {
+        std::ostringstream out;
+        out << "asid " << recount.begin()->first << " has "
+            << recount.begin()->second << " forward entries but no count";
+        return fail(out.str());
+    }
 
     // Every resident page's owner must route (forward-aware) to the
     // shard actually holding it — stealing and adoption may move

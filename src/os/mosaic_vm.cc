@@ -240,6 +240,12 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
 Pfn
 MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 {
+    return touchScalar(asid, vpn, write, false);
+}
+
+Pfn
+MosaicVm::touchScalar(Asid asid, Vpn vpn, bool write, bool gated)
+{
     // The hash input comes first: in LocationId mode it may create the
     // ToC's binding, which draws the RNG. A present page then needs
     // only the one hash output its CPFN names; the full candidate set
@@ -250,8 +256,28 @@ MosaicVm::touch(Asid asid, Vpn vpn, bool write)
     const MosaicMapper &mapper = allocator_.mapper();
     if (walk.present)
         return touchResident(mapper.pfnOf(hash_input, walk.cpfn), write);
-    return touchFault(pt, asid, vpn, write, hash_input,
-                      mapper.candidates(hash_input));
+    const CandidateSet cand = mapper.candidates(hash_input);
+    std::optional<Placement> placed;
+    if (gated && wouldSteal(hash_input, cand, placed))
+        return invalidPfn;
+    return touchFault(pt, asid, vpn, write, hash_input, cand, placed);
+}
+
+bool
+MosaicVm::wouldSteal(std::uint64_t hash_input, const CandidateSet &cand,
+                     std::optional<Placement> &placed) const
+{
+    // A free frame anywhere can still absorb the page, and a local
+    // swap copy must be honored locally (stealing the page would
+    // strand the copy and skew major faults).
+    if (frames_.usedFrames() < frames_.numFrames() ||
+            swap_.contains(hash_input))
+        return false;
+    // The placement touchFault makes first: a ghost below the horizon
+    // still counts as reclaimable, so only a hard associativity
+    // conflict on a dry pool needs a donor.
+    placed = allocator_.place(cand, frames_, ghosts_.bits());
+    return !placed;
 }
 
 void
@@ -281,7 +307,8 @@ MosaicVm::touchResident(Pfn pfn, bool write)
 
 Pfn
 MosaicVm::touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
-                     std::uint64_t hash_input, const CandidateSet &cand)
+                     std::uint64_t hash_input, const CandidateSet &cand,
+                     std::optional<Placement> placed)
 {
     ++clock_;
     const bool major = swap_.contains(hash_input);
@@ -321,8 +348,10 @@ MosaicVm::touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
     std::optional<Placement> placement;
     const bool place_injected = config_.faults != nullptr &&
                                 config_.faults->shouldFail("vm.place");
-    if (!place_injected)
-        placement = allocator_.place(cand, frames_, ghosts_.bits());
+    if (!place_injected) {
+        placement = placed ? placed
+                           : allocator_.place(cand, frames_, ghosts_.bits());
+    }
 
     if (!placement &&
             config_.recovery == ConflictRecovery::GhostReclaimRetry) {
@@ -385,13 +414,34 @@ MosaicVm::touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
 void
 MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 {
+    applyBatch(block, out, false);
+}
+
+std::size_t
+MosaicVm::touchBatchUntilSteal(std::span<const PageTouch> block, Pfn *out)
+{
+    ensure(config_.sharing == SharingMode::PageIdHash &&
+               config_.policy != EvictionPolicy::ShrunkenCache,
+           "mosaic_vm: the steal gate needs PageIdHash and a policy "
+           "that can hard-conflict");
+    return applyBatch(block, out, true);
+}
+
+std::size_t
+MosaicVm::applyBatch(std::span<const PageTouch> block, Pfn *out,
+                     bool gated)
+{
     // LocationId hash inputs are derived statefully (binding creation
     // draws the RNG), so staging them out of order would change
     // observable state; trivial blocks have nothing to amortize.
     if (config_.sharing == SharingMode::LocationId || block.size() < 2) {
-        for (std::size_t i = 0; i < block.size(); ++i)
-            out[i] = touch(block[i].asid, block[i].vpn, block[i].write);
-        return;
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            out[i] = touchScalar(block[i].asid, block[i].vpn,
+                                 block[i].write, gated);
+            if (out[i] == invalidPfn)
+                return i;
+        }
+        return block.size();
     }
 
     const std::size_t n = block.size();
@@ -442,11 +492,8 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
         }
         st.table = last_table;
         st.leaf = st.table->findLeaf(block[j].vpn);
-        if (st.leaf) {
-            __builtin_prefetch(
-                &st.leaf->cpfns[st.table->offsetOf(block[j].vpn)]);
-            __builtin_prefetch(&st.leaf->initialized);
-        }
+        if (st.leaf)
+            __builtin_prefetch(&st.leaf[st.table->offsetOf(block[j].vpn)]);
     };
     const auto stageWalk = [&](std::size_t j) {
         StagedTouch &st = stagedAt(j);
@@ -495,12 +542,17 @@ MosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
             out[i] = touchResident(pfn, t.write);
             continue;
         }
+        const CandidateSet cand = mapper.candidates(hash_input);
+        std::optional<Placement> placed;
+        if (gated && wouldSteal(hash_input, cand, placed))
+            return i;
         // Every fault changes a page->frame mapping, which retires
         // the touches staged before it.
         ++faults;
         out[i] = touchFault(pageTable(t.asid), t.asid, t.vpn, t.write,
-                            hash_input, mapper.candidates(hash_input));
+                            hash_input, cand, placed);
     }
+    return n;
 }
 
 } // namespace mosaic

@@ -129,6 +129,21 @@ class MosaicVm : public VirtualMemory
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 
+    /**
+     * touchBatch behind the steal gate (DESIGN.md §17.3): applies the
+     * block's touches in order, through the same pipeline, and stops
+     * before the first one that would need a donor shard — a fault
+     * on a dry pool, with no swap copy of the page, whose placement
+     * hard-conflicts. Returns how many touches it applied; each had
+     * exactly touch()'s effects, and a stopped touch changes no
+     * mapping, frame or counter. The gate's placement is the one the
+     * fault then uses. Requires PageIdHash sharing and a policy other
+     * than ShrunkenCache (the configurations whose faults can
+     * steal).
+     */
+    std::size_t touchBatchUntilSteal(std::span<const PageTouch> block,
+                                     Pfn *out);
+
     std::size_t numFrames() const override;
     std::size_t residentPages() const override;
     const VmStats &stats() const override { return stats_; }
@@ -243,8 +258,8 @@ class MosaicVm : public VirtualMemory
         /** The page's table; nullptr when its ASID has none. */
         const MosaicPageTable *table = nullptr;
 
-        /** The page's leaf in it; nullptr when it has none. */
-        const Toc *leaf = nullptr;
+        /** The page's ToC in it; nullptr when it has none. */
+        const Cpfn *leaf = nullptr;
 
         /** The resolved frame; invalidPfn when the page is absent. */
         Pfn pfn = invalidPfn;
@@ -263,9 +278,28 @@ class MosaicVm : public VirtualMemory
 
     /** A touch of a page the walk of @p pt (asid's table) found
      *  absent: sharer adoption or placement (with eviction) and
-     *  swap-in. Always changes a page->frame mapping. */
+     *  swap-in. Always changes a page->frame mapping. @p placed is a
+     *  placement the steal gate already computed for @p cand, if
+     *  any. */
     Pfn touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
-                   std::uint64_t hash_input, const CandidateSet &cand);
+                   std::uint64_t hash_input, const CandidateSet &cand,
+                   std::optional<Placement> placed);
+
+    /** touch(), or behind the steal gate when @p gated: then
+     *  invalidPfn, and no touch, for a touch the gate stops. */
+    Pfn touchScalar(Asid asid, Vpn vpn, bool write, bool gated);
+
+    /** The pipeline both batched entries run; stops at the steal
+     *  gate when @p gated. Returns the touches applied. */
+    std::size_t applyBatch(std::span<const PageTouch> block, Pfn *out,
+                           bool gated);
+
+    /** The steal gate for a fault on @p hash_input: true when the
+     *  pool is dry, no swap copy exists and placement over @p cand
+     *  hard-conflicts. Otherwise @p placed receives the placement if
+     *  the gate had to compute one. Reads only this VM's state. */
+    bool wouldSteal(std::uint64_t hash_input, const CandidateSet &cand,
+                    std::optional<Placement> &placed) const;
 
     /** Placement-hash input for one base page. */
     std::uint64_t hashInputFor(Asid asid, Vpn vpn);

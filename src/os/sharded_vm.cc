@@ -40,6 +40,8 @@ ShardedMosaicVm::ShardedMosaicVm(const ShardedVmConfig &config)
 std::size_t
 ShardedMosaicVm::routeOf(Asid asid, Vpn vpn) const
 {
+    if (asid >= forwardsOf_.size() || forwardsOf_[asid] == 0)
+        return homeShard(asid);
     const std::uint64_t key = locMode_
         ? tocKeyOf(asid, vpn, log2Arity_)
         : packPageId(PageId{asid, vpn});
@@ -48,28 +50,25 @@ ShardedMosaicVm::routeOf(Asid asid, Vpn vpn) const
     return homeShard(asid);
 }
 
-bool
-ShardedMosaicVm::wouldSteal(std::size_t s, Asid asid, Vpn vpn)
+void
+ShardedMosaicVm::setForward(std::uint64_t key, Asid asid,
+                            std::size_t target)
 {
-    MosaicVm &vm = *vms_[s];
-    if (vm.frameTable().usedFrames() < vm.numFrames())
-        return false;
-    // A present page hits; a local swap copy must be honored locally
-    // (stealing it would strand the copy and skew major faults).
-    if (vm.pageTable(asid).walk(vpn).present)
-        return false;
-    const std::uint64_t key = packPageId(PageId{asid, vpn});
-    if (vm.swapDevice().contains(key))
-        return false;
-    // The exact placement query the shard's touch would make: a ghost
-    // below the shard horizon still counts as reclaimable, so only a
-    // hard associativity conflict on a dry pool triggers a steal.
-    const Tick h = vm.horizon();
-    const CandidateSet cand = vm.allocator().mapper().candidates(key);
-    return !vm.allocator()
-                .place(cand, vm.frameTable(),
-                       [h](const Frame &f) { return f.lastAccess < h; })
-                .has_value();
+    auto [slot, inserted] = forward_.emplace(key);
+    slot = static_cast<std::uint32_t>(target);
+    if (inserted) {
+        if (asid >= forwardsOf_.size())
+            forwardsOf_.resize(std::size_t{asid} + 1);
+        ++forwardsOf_[asid];
+    }
+}
+
+void
+ShardedMosaicVm::eraseForward(std::uint64_t key, Asid asid)
+{
+    if (asid < forwardsOf_.size() && forwardsOf_[asid] != 0 &&
+            forward_.erase(key))
+        --forwardsOf_[asid];
 }
 
 std::optional<std::size_t>
@@ -108,17 +107,20 @@ Pfn
 ShardedMosaicVm::touchOne(Asid asid, Vpn vpn, bool write)
 {
     const std::size_t s = routeOf(asid, vpn);
-    if (stealEnabled_ && wouldSteal(s, asid, vpn)) {
-        if (const std::optional<std::size_t> donor =
-                pickDonor(s, asid, vpn)) {
-            const Pfn local = vms_[*donor]->touch(asid, vpn, write);
-            forward_[packPageId(PageId{asid, vpn})] =
-                static_cast<std::uint32_t>(*donor);
-            ++counters_.steals;
-            return part_.toGlobal(*donor, local);
-        }
+    MosaicVm &vm = *vms_[s];
+    if (!stealEnabled_)
+        return part_.toGlobal(s, vm.touch(asid, vpn, write));
+    const PageTouch t{asid, vpn, write};
+    Pfn local = invalidPfn;
+    if (vm.touchBatchUntilSteal({&t, 1}, &local) == 1)
+        return part_.toGlobal(s, local);
+    if (const std::optional<std::size_t> donor = pickDonor(s, asid, vpn)) {
+        local = vms_[*donor]->touch(asid, vpn, write);
+        setForward(packPageId(PageId{asid, vpn}), asid, *donor);
+        ++counters_.steals;
+        return part_.toGlobal(*donor, local);
     }
-    return part_.toGlobal(s, vms_[s]->touch(asid, vpn, write));
+    return part_.toGlobal(s, vm.touch(asid, vpn, write));
 }
 
 Pfn
@@ -144,6 +146,8 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
 
     const std::size_t shards = vms_.size();
     batchIdx_.resize(shards);
+    batchOps_.resize(shards);
+    batchOut_.resize(shards);
     for (auto &idx : batchIdx_)
         idx.clear();
     for (std::size_t i = 0; i < block.size(); ++i) {
@@ -152,46 +156,27 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
     }
 
     // Parallel phase: each shard applies its ops in block order,
-    // touching only shard-local state (the steal gate is consulted
-    // but never acted on here), so the result is independent of how
-    // parallelFor schedules the shards across workers.
-    std::vector<std::vector<std::uint32_t>> deferred(shards);
+    // touching only shard-local state — a shard stops at its steal
+    // gate rather than act on it — so the result is independent of
+    // how parallelFor schedules the shards across workers.
+    std::vector<std::size_t> applied(shards);
     parallelFor(shards, [&](std::size_t s) {
         MosaicVm &vm = *vms_[s];
         const std::vector<std::uint32_t> &idx = batchIdx_[s];
-        std::vector<PageTouch> seg;
-        std::vector<Pfn> seg_out;
-        std::size_t pos = 0;
-        while (pos < idx.size()) {
-            // With stealing off the gate can't trip: run everything
-            // through one batch. Otherwise bound the segment by the
-            // free-frame count — each op consumes at most one frame,
-            // so the shard can run dry only at a segment boundary
-            // and the gate cannot trip mid-segment.
-            const std::size_t free = stealEnabled_
-                ? vm.numFrames() - vm.frameTable().usedFrames()
-                : idx.size() - pos;
-            if (free > 0) {
-                const std::size_t k = std::min(free, idx.size() - pos);
-                seg.resize(k);
-                seg_out.resize(k);
-                for (std::size_t j = 0; j < k; ++j)
-                    seg[j] = block[idx[pos + j]];
-                vm.touchBatch({seg.data(), k}, seg_out.data());
-                for (std::size_t j = 0; j < k; ++j)
-                    out[idx[pos + j]] = part_.toGlobal(s, seg_out[j]);
-                pos += k;
-                continue;
-            }
-            const PageTouch &t = block[idx[pos]];
-            if (wouldSteal(s, t.asid, t.vpn))
-                break; // defer the rest: steals mutate other shards
-            out[idx[pos]] =
-                part_.toGlobal(s, vm.touch(t.asid, t.vpn, t.write));
-            ++pos;
+        std::vector<PageTouch> &ops = batchOps_[s];
+        std::vector<Pfn> &local = batchOut_[s];
+        ops.resize(idx.size());
+        local.resize(idx.size());
+        for (std::size_t j = 0; j < idx.size(); ++j)
+            ops[j] = block[idx[j]];
+        if (stealEnabled_) {
+            applied[s] = vm.touchBatchUntilSteal(ops, local.data());
+        } else {
+            vm.touchBatch(ops, local.data());
+            applied[s] = ops.size();
         }
-        deferred[s].assign(idx.begin() + static_cast<std::ptrdiff_t>(pos),
-                           idx.end());
+        for (std::size_t j = 0; j < applied[s]; ++j)
+            out[idx[j]] = part_.toGlobal(s, local[j]);
     });
 
     // Serial drain: ops a shard deferred at its steal gate, applied
@@ -199,8 +184,12 @@ ShardedMosaicVm::touchBatch(std::span<const PageTouch> block, Pfn *out)
     // deviates from the scalar loop — only in blocks where a steal
     // engaged, and identically for every thread count.
     std::vector<std::uint32_t> drain;
-    for (const auto &d : deferred)
-        drain.insert(drain.end(), d.begin(), d.end());
+    for (std::size_t s = 0; s < shards; ++s) {
+        drain.insert(drain.end(),
+                     batchIdx_[s].begin() +
+                         static_cast<std::ptrdiff_t>(applied[s]),
+                     batchIdx_[s].end());
+    }
     std::sort(drain.begin(), drain.end());
     counters_.deferredBatchOps += drain.size();
     for (const std::uint32_t i : drain)
@@ -229,7 +218,7 @@ ShardedMosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
             // forwarded shard, which keeps routing consistent with
             // sharers that may still hold the location ID.
             for (std::size_t j = begin; j < end; ++j)
-                forward_.erase(packPageId(PageId{asid, vpn + j}));
+                eraseForward(packPageId(PageId{asid, vpn + j}), asid);
         }
     };
 
@@ -285,12 +274,12 @@ ShardedMosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
         const std::uint64_t dkey =
             tocKeyOf(dst_asid, dst_vpn + i, log2Arity_);
         if (owner != homeShard(dst_asid)) {
-            forward_[dkey] = static_cast<std::uint32_t>(owner);
+            setForward(dkey, dst_asid, owner);
             ++counters_.crossShardAdoptions;
         } else {
             // A stale sticky entry (from a share whose binding later
             // died) must not outlive the re-home.
-            forward_.erase(dkey);
+            eraseForward(dkey, dst_asid);
         }
     }
 

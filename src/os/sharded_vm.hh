@@ -111,15 +111,13 @@ class ShardedMosaicVm : public VirtualMemory
     /**
      * Batched touch across shards. The block is partitioned by
      * routed shard; each shard applies its ops in order across
-     * MOSAIC_THREADS workers — full blocks through the shard's
-     * batched pipeline while free frames bound the segment (the
-     * steal gate cannot trip mid-segment), then single-stepping at a
-     * dry free list. A shard stops at the first op that would steal;
-     * stopped ops are applied serially, in ascending block order,
-     * after the parallel phase. Results are bit-identical to a
-     * scalar touch() loop whenever no steal engages (always with
-     * shards=1, where this delegates to MosaicVm::touchBatch), and
-     * bit-identical across thread counts unconditionally.
+     * MOSAIC_THREADS workers in one MosaicVm::touchBatchUntilSteal
+     * call, which stops at the first op that would steal; stopped
+     * ops are applied serially, in ascending block order, after the
+     * parallel phase. Results are bit-identical to a scalar touch()
+     * loop whenever no steal engages (always with shards=1, where
+     * this delegates to MosaicVm::touchBatch), and bit-identical
+     * across thread counts unconditionally.
      */
     void touchBatch(std::span<const PageTouch> block, Pfn *out) override;
 
@@ -176,6 +174,19 @@ class ShardedMosaicVm : public VirtualMemory
     /** Live forwarding entries (pages + ToCs). */
     std::size_t forwardEntries() const { return forward_.size(); }
 
+    /** Visit (asid, count) for every ASID with forwarding entries,
+     *  from the per-ASID counts routeOf consults (the shard oracle
+     *  recounts them from forEachForward). */
+    template <typename Fn>
+    void
+    forEachForwardCount(Fn &&fn) const
+    {
+        for (std::size_t a = 0; a < forwardsOf_.size(); ++a) {
+            if (forwardsOf_[a] != 0)
+                fn(static_cast<Asid>(a), forwardsOf_[a]);
+        }
+    }
+
     /** Visit every forwarding entry as (key, target shard); page
      *  keys are packPageId values, ToC keys (asid << 48) | mvpn —
      *  the two spaces never coexist (they are mode-exclusive). */
@@ -206,10 +217,11 @@ class ShardedMosaicVm : public VirtualMemory
     /** The scalar touch path: route, maybe steal, touch the shard. */
     Pfn touchOne(Asid asid, Vpn vpn, bool write);
 
-    /** True when a touch at shard @p s would need a donor: free list
-     *  dry, page absent with no local swap copy, and placement
-     *  hard-conflicts. Reads only shard-local state. */
-    bool wouldSteal(std::size_t s, Asid asid, Vpn vpn);
+    /** Point @p key (an entry of @p asid) at shard @p target. */
+    void setForward(std::uint64_t key, Asid asid, std::size_t target);
+
+    /** Drop @p key's forwarding entry (of @p asid), if any. */
+    void eraseForward(std::uint64_t key, Asid asid);
 
     /** The donor for a steal: most free frames (ties to the lowest
      *  index), able to place the page; nullopt when no shard
@@ -232,6 +244,10 @@ class ShardedMosaicVm : public VirtualMemory
      *  from their ASID's home shard. */
     FlatMap<std::uint64_t, std::uint32_t> forward_;
 
+    /** forward_'s keys per ASID, sized to the largest ASID that ever
+     *  had one: routeOf skips the probe for ASIDs at zero. */
+    std::vector<std::uint32_t> forwardsOf_;
+
     /** Per-shard adoption mailboxes; drained before shareRange
      *  returns, so they are empty between public calls. */
     std::vector<std::vector<AdoptMsg>> mailboxes_;
@@ -241,8 +257,11 @@ class ShardedMosaicVm : public VirtualMemory
     /** Aggregate rebuilt on demand by stats(). */
     mutable VmStats aggStats_;
 
-    /** touchBatch scratch (index partition, per-shard segments). */
+    /** touchBatch scratch, per shard: its ops' block indices, the
+     *  ops themselves and their local PFNs. */
     std::vector<std::vector<std::uint32_t>> batchIdx_;
+    std::vector<std::vector<PageTouch>> batchOps_;
+    std::vector<std::vector<Pfn>> batchOut_;
 };
 
 } // namespace mosaic

@@ -6,7 +6,7 @@ namespace mosaic
 {
 
 MosaicPageTable::MosaicPageTable(unsigned arity, Cpfn unmapped_code)
-    : tree_(vpnBits - ceilLog2(arity)),
+    : tree_(vpnBits - ceilLog2(arity), arity, unmapped_code),
       arity_(arity),
       log2Arity_(ceilLog2(arity)),
       unmapped_(unmapped_code)
@@ -15,22 +15,10 @@ MosaicPageTable::MosaicPageTable(unsigned arity, Cpfn unmapped_code)
     ensure((arity & (arity - 1)) == 0, "mosaic_pt: arity power of two");
 }
 
-Toc &
-MosaicPageTable::leafFor(Vpn vpn, unsigned *refs)
-{
-    Toc &toc = tree_.getOrCreate(mvpnOf(vpn), refs);
-    if (!toc.initialized) {
-        toc.cpfns.fill(unmapped_);
-        toc.initialized = true;
-    }
-    return toc;
-}
-
 void
 MosaicPageTable::setCpfn(Vpn vpn, Cpfn cpfn)
 {
-    Toc &toc = leafFor(vpn);
-    Cpfn &slot = toc.cpfns[offsetOf(vpn)];
+    Cpfn &slot = (&tree_.getOrCreate(mvpnOf(vpn)))[offsetOf(vpn)];
     if (slot == unmapped_ && cpfn != unmapped_)
         ++mapped_;
     else if (slot != unmapped_ && cpfn == unmapped_)
@@ -48,14 +36,15 @@ MosaicWalkResult
 MosaicPageTable::walk(Vpn vpn) const
 {
     MosaicWalkResult out;
-    const Toc *toc = tree_.find(mvpnOf(vpn), &out.memRefs);
-    if (!toc || !toc->initialized) {
-        out.cpfn = unmapped_;
-        return out;
-    }
-    out.toc = std::span<const Cpfn>(toc->cpfns.data(), arity_);
-    out.cpfn = toc->cpfns[offsetOf(vpn)];
+    const Mvpn mvpn = mvpnOf(vpn);
+    const Cpfn *toc = tree_.find(mvpn, &out.memRefs);
+    out.cpfn = toc ? toc[offsetOf(vpn)] : unmapped_;
     out.present = out.cpfn != unmapped_;
+    // Only setCpfn stores a mapped code, so a present page's ToC was
+    // written; the written bit is read only to tell a cleared ToC
+    // from one never written.
+    if (out.present || (toc && tree_.written(mvpn, toc)))
+        out.toc = std::span<const Cpfn>(toc, arity_);
     return out;
 }
 

@@ -2,13 +2,13 @@
  * @file
  * The mosaic page table (paper §3.1, Figure 5): a radix tree whose
  * leaves map MVPNs to tables of contents (ToCs) — one CPFN per base
- * page of the mosaic page — instead of full PFNs.
+ * page of the mosaic page — instead of full PFNs. A ToC is `arity`
+ * CPFNs, stored inline in the tree's leaf runs (DESIGN.md §12.1).
  */
 
 #ifndef MOSAIC_PT_MOSAIC_PAGE_TABLE_HH_
 #define MOSAIC_PT_MOSAIC_PAGE_TABLE_HH_
 
-#include <array>
 #include <cstdint>
 #include <span>
 
@@ -19,21 +19,11 @@
 namespace mosaic
 {
 
-/** The leaf payload: a mosaic page's table of contents. */
-struct Toc
-{
-    /** One CPFN per sub-page; slots beyond the arity are unused.
-     *  Initialized lazily by MosaicPageTable to the unmapped code. */
-    std::array<Cpfn, maxArity> cpfns{};
-
-    /** True once cpfns has been initialized to the unmapped code. */
-    bool initialized = false;
-};
-
 /** Result of a mosaic page-table walk. */
 struct MosaicWalkResult
 {
-    /** The full ToC of the mosaic page; empty when no leaf exists. */
+    /** The full ToC of the mosaic page; empty when it was never
+     *  written. */
     std::span<const Cpfn> toc;
 
     /** CPFN of the requested page (== unmapped code if absent). */
@@ -72,28 +62,28 @@ class MosaicPageTable
     MosaicWalkResult walk(Vpn vpn) const;
 
     /**
-     * The leaf walk(vpn) reads, located without reading it so that a
+     * The ToC walk(vpn) reads, located without reading it so that a
      * pipeline can prefetch it before cpfnIn() reads it: nullptr when
-     * no leaf node exists yet. Never creates nodes. A leaf keeps its
-     * address for the table's lifetime.
+     * no leaf run exists yet. Never creates nodes. A ToC keeps its
+     * address for the table's lifetime, and one never written holds
+     * only the unmapped code.
      */
-    const Toc *findLeaf(Vpn vpn) const { return tree_.find(mvpnOf(vpn)); }
+    const Cpfn *findLeaf(Vpn vpn) const { return tree_.find(mvpnOf(vpn)); }
 
     /** The CPFN walk(vpn) yields, read from findLeaf(vpn)'s result. */
     Cpfn
-    cpfnIn(const Toc *leaf, Vpn vpn) const
+    cpfnIn(const Cpfn *toc, Vpn vpn) const
     {
-        return leaf && leaf->initialized ? leaf->cpfns[offsetOf(vpn)]
-                                         : unmapped_;
+        return toc ? toc[offsetOf(vpn)] : unmapped_;
     }
 
     /** Number of base pages currently mapped. */
     std::uint64_t mappedPages() const { return mapped_; }
 
   private:
-    Toc &leafFor(Vpn vpn, unsigned *refs = nullptr);
-
-    RadixTree<Toc> tree_;
+    /** Leaf runs of arity CPFNs per MVPN, filled with the unmapped
+     *  code; a ToC is written once setCpfn first touches it. */
+    RadixTree<Cpfn> tree_;
     unsigned arity_;
     unsigned log2Arity_;
     Cpfn unmapped_;

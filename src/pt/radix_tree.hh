@@ -9,6 +9,13 @@
  * this structure. Lookups report how many node visits ("memory
  * references") the walk took so the simulator can account for walk
  * traffic.
+ *
+ * Layout (DESIGN.md §12.1). Interior nodes hold only their 512 child
+ * slots. The slot above the leaves points straight at a leaf run:
+ * one allocation holding a 512-bit "written" bitmap and then
+ * fanout × width leaves, so each key owns `width` contiguous leaves
+ * (one PTE for the vanilla table, one ToC of `arity` CPFNs for the
+ * mosaic table). A one-level tree is a single leaf run.
  */
 
 #ifndef MOSAIC_PT_RADIX_TREE_HH_
@@ -17,6 +24,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 
 #include "util/log.hh"
 
@@ -24,12 +33,15 @@ namespace mosaic
 {
 
 /**
- * @tparam Leaf payload stored per key; default-constructed on first
- *         touch.
+ * @tparam Leaf payload stored per key (width() of them); runs are
+ *         filled with the tree's fill value when created.
  */
 template <typename Leaf>
 class RadixTree
 {
+    static_assert(std::is_trivially_destructible_v<Leaf>,
+                  "leaf runs are freed without running destructors");
+
   public:
     static constexpr unsigned fanoutBits = 9;
     static constexpr unsigned fanout = 1u << fanoutBits;
@@ -37,64 +49,72 @@ class RadixTree
     /**
      * @param key_bits significant key width; determines the number
      *        of levels (ceil(key_bits / 9), minimum 1).
+     * @param width leaves per key.
+     * @param fill value every leaf of a new leaf run starts as.
      */
-    explicit RadixTree(unsigned key_bits)
-        : levels_((key_bits + fanoutBits - 1) / fanoutBits)
+    explicit RadixTree(unsigned key_bits, unsigned width = 1,
+                       Leaf fill = Leaf{})
+        : levels_((key_bits + fanoutBits - 1) / fanoutBits),
+          width_(width),
+          fill_(fill)
     {
+        ensure(width >= 1, "radix_tree: width must be positive");
         if (levels_ == 0)
             levels_ = 1;
-        root_ = std::make_unique<Node>();
-        if (levels_ == 1)
-            root_->leaves = std::make_unique<LeafArray>();
+        root_ = levels_ == 1 ? static_cast<void *>(newRun())
+                             : static_cast<void *>(new Node());
     }
+
+    ~RadixTree() { release(root_, levels_ - 1); }
+
+    RadixTree(const RadixTree &) = delete;
+    RadixTree &operator=(const RadixTree &) = delete;
 
     /** Number of radix levels. */
     unsigned levels() const { return levels_; }
 
+    /** Leaves per key. */
+    unsigned width() const { return width_; }
+
     /**
-     * Find the leaf for a key, creating intermediate nodes as
-     * needed. @p refs, when non-null, accumulates the walk length.
+     * The first of a key's width() contiguous leaves, creating
+     * interior nodes and the leaf run as needed, and marking the key
+     * written. @p refs, when non-null, accumulates the walk length.
      */
     Leaf &
     getOrCreate(std::uint64_t key, unsigned *refs = nullptr)
     {
-        Node *node = root_.get();
+        void **slot = &root_;
         for (unsigned level = levels_; level-- > 1;) {
             if (refs)
                 ++*refs;
-            const unsigned idx = indexAt(key, level);
-            auto &child = node->children[idx];
-            if (!child) {
-                child = std::make_unique<Node>();
-                if (level == 1)
-                    child->leaves = std::make_unique<LeafArray>();
+            void **child =
+                &static_cast<Node *>(*slot)->children[indexAt(key, level)];
+            if (!*child) {
+                *child = level == 1 ? static_cast<void *>(newRun())
+                                    : static_cast<void *>(new Node());
             }
-            node = child.get();
+            slot = child;
         }
         if (refs)
             ++*refs;
-        return (*node->leaves)[indexAt(key, 0)];
+        Run *run = static_cast<Run *>(*slot);
+        const unsigned i = indexAt(key, 0);
+        run->written[i / 64] |= std::uint64_t{1} << (i % 64);
+        return run->leaves()[std::size_t{i} * width_];
     }
 
     /**
-     * Find the leaf for a key without creating anything; nullptr
-     * when no leaf node exists on the path.
+     * The first of a key's leaves without creating anything; nullptr
+     * when no leaf run exists on the path. A key of an existing run
+     * that was never written reads as the fill value.
      */
     Leaf *
     find(std::uint64_t key, unsigned *refs = nullptr)
     {
-        Node *node = root_.get();
-        for (unsigned level = levels_; level-- > 1;) {
-            if (refs)
-                ++*refs;
-            Node *child = node->children[indexAt(key, level)].get();
-            if (!child)
-                return nullptr;
-            node = child;
-        }
-        if (refs)
-            ++*refs;
-        return &(*node->leaves)[indexAt(key, 0)];
+        Run *run = findRun(key, refs);
+        return run ? &run->leaves()[std::size_t{indexAt(key, 0)} * width_]
+                   : nullptr;
     }
 
     const Leaf *
@@ -103,22 +123,47 @@ class RadixTree
         return const_cast<RadixTree *>(this)->find(key, refs);
     }
 
-    /** Visit every instantiated leaf as (key, leaf). */
+    /**
+     * True once getOrCreate ran for @p key. @p leaves must be
+     * find(key)'s non-null result; the bit sits in the run's header,
+     * which a caller that reads only the leaves never touches.
+     */
+    bool
+    written(std::uint64_t key, const Leaf *leaves) const
+    {
+        const unsigned i = indexAt(key, 0);
+        const Run *run = reinterpret_cast<const Run *>(
+                             leaves - std::size_t{i} * width_) -
+                         1;
+        return (run->written[i / 64] >> (i % 64)) & 1;
+    }
+
+    /** Visit every key of every leaf run as (key, first leaf). */
     template <typename Visitor>
     void
     forEach(Visitor &&visit)
     {
-        forEachImpl(*root_, levels_ - 1, 0, visit);
+        forEachImpl(root_, levels_ - 1, 0, visit);
     }
 
   private:
-    using LeafArray = std::array<Leaf, fanout>;
-
     struct Node
     {
-        std::array<std::unique_ptr<Node>, fanout> children{};
-        std::unique_ptr<LeafArray> leaves;
+        std::array<void *, fanout> children{};
     };
+
+    /** A leaf-run header; the leaves follow it in one allocation. */
+    struct alignas(64) Run
+    {
+        std::array<std::uint64_t, fanout / 64> written{};
+
+        Leaf *
+        leaves()
+        {
+            return std::launder(reinterpret_cast<Leaf *>(this + 1));
+        }
+    };
+    static_assert(alignof(Leaf) <= alignof(Run));
 
     static unsigned
     indexAt(std::uint64_t key, unsigned level)
@@ -127,26 +172,77 @@ class RadixTree
             (key >> (level * fanoutBits)) & (fanout - 1));
     }
 
-    template <typename Visitor>
-    void
-    forEachImpl(Node &node, unsigned level, std::uint64_t prefix,
-                Visitor &visit)
+    Run *
+    newRun() const
     {
-        if (node.leaves) {
-            for (unsigned i = 0; i < fanout; ++i)
-                visit((prefix << fanoutBits) | i, (*node.leaves)[i]);
+        const std::size_t n = std::size_t{fanout} * width_;
+        void *mem = ::operator new(sizeof(Run) + n * sizeof(Leaf),
+                                   std::align_val_t{alignof(Run)});
+        Run *run = new (mem) Run{};
+        std::uninitialized_fill_n(
+            reinterpret_cast<Leaf *>(run + 1), n, fill_);
+        return run;
+    }
+
+    /** Free the subtree at @p p, whose children are @p level deep
+     *  (0: @p p is a leaf run). */
+    static void
+    release(void *p, unsigned level)
+    {
+        if (!p)
+            return;
+        if (level == 0) {
+            ::operator delete(p, std::align_val_t{alignof(Run)});
             return;
         }
+        Node *node = static_cast<Node *>(p);
+        for (void *child : node->children)
+            release(child, level - 1);
+        delete node;
+    }
+
+    Run *
+    findRun(std::uint64_t key, unsigned *refs) const
+    {
+        void *p = root_;
+        for (unsigned level = levels_; level-- > 1;) {
+            if (refs)
+                ++*refs;
+            p = static_cast<Node *>(p)->children[indexAt(key, level)];
+            if (!p)
+                return nullptr;
+        }
+        if (refs)
+            ++*refs;
+        return static_cast<Run *>(p);
+    }
+
+    template <typename Visitor>
+    void
+    forEachImpl(void *p, unsigned level, std::uint64_t prefix,
+                Visitor &visit)
+    {
+        if (level == 0) {
+            Leaf *leaves = static_cast<Run *>(p)->leaves();
+            for (unsigned i = 0; i < fanout; ++i) {
+                visit((prefix << fanoutBits) | i,
+                      leaves[std::size_t{i} * width_]);
+            }
+            return;
+        }
+        Node *node = static_cast<Node *>(p);
         for (unsigned i = 0; i < fanout; ++i) {
-            if (node.children[i]) {
-                forEachImpl(*node.children[i], level - 1,
+            if (node->children[i]) {
+                forEachImpl(node->children[i], level - 1,
                             (prefix << fanoutBits) | i, visit);
             }
         }
     }
 
     unsigned levels_;
-    std::unique_ptr<Node> root_;
+    unsigned width_;
+    Leaf fill_;
+    void *root_ = nullptr;
 };
 
 } // namespace mosaic

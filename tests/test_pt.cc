@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "mem/geometry.hh"
 #include "pt/mosaic_page_table.hh"
 #include "pt/radix_tree.hh"
 #include "pt/vanilla_page_table.hh"
+#include "util/random.hh"
 
 namespace mosaic
 {
@@ -93,6 +96,53 @@ TEST(RadixTree, SingleLevelTree)
     unsigned refs = 0;
     EXPECT_EQ(*t.find(31, &refs), 3);
     EXPECT_EQ(refs, 1u);
+}
+
+TEST(RadixTree, WideLeavesAreContiguousPerKey)
+{
+    // Three leaves per key, runs filled with 7: a key's leaves sit
+    // side by side and neighbouring keys of a run start at the fill.
+    RadixTree<std::uint16_t> t(20, 3, 7);
+    EXPECT_EQ(t.width(), 3u);
+    std::uint16_t *leaves = &t.getOrCreate(0x12345);
+    for (unsigned i = 0; i < 3; ++i) {
+        EXPECT_EQ(leaves[i], 7);
+        leaves[i] = static_cast<std::uint16_t>(100 + i);
+    }
+    std::uint16_t *next = &t.getOrCreate(0x12346);
+    EXPECT_EQ(next, leaves + 3);
+    EXPECT_EQ(next[0], 7);
+    const std::uint16_t *found = t.find(0x12345);
+    ASSERT_EQ(found, leaves);
+    EXPECT_EQ(found[2], 102);
+}
+
+TEST(RadixTree, WrittenMarksOnlyCreatedKeys)
+{
+    RadixTree<std::uint8_t> t(36, 4, 0x7F);
+    t.getOrCreate(1000);
+    unsigned refs = 0;
+    // Same leaf run, never created: find reads the fill after a full
+    // four-level walk, and only the created key reads as written.
+    const std::uint8_t *fresh = t.find(1001, &refs);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh[0], 0x7F);
+    EXPECT_EQ(refs, 4u);
+    EXPECT_FALSE(t.written(1001, fresh));
+    EXPECT_TRUE(t.written(1000, t.find(1000)));
+    // The first and last key of a run, and a one-level tree.
+    EXPECT_FALSE(t.written(1023, t.find(1023)));
+    t.getOrCreate(1023);
+    EXPECT_TRUE(t.written(1023, t.find(1023)));
+    EXPECT_FALSE(t.written(512, t.find(512)));
+    RadixTree<int> flat(5, 2);
+    flat.getOrCreate(31);
+    EXPECT_TRUE(flat.written(31, flat.find(31)));
+    EXPECT_FALSE(flat.written(30, flat.find(30)));
+    // No leaf run on the path: find stops where the path ends.
+    refs = 0;
+    EXPECT_EQ(t.find(1000 + (1u << 9), &refs), nullptr);
+    EXPECT_EQ(refs, 3u);
 }
 
 TEST(VanillaPt, MapWalkUnmap)
@@ -217,6 +267,144 @@ TEST(MosaicPt, RemapCounting)
     pt.setCpfn(3, 6); // remap: count stays 1
     EXPECT_EQ(pt.mappedPages(), 1u);
     EXPECT_EQ(pt.walk(3).cpfn, 6);
+}
+
+/** Node visits of a walk that finds the path missing at each level.
+ *  Expected values were taken from the tree before its nodes were
+ *  compacted into leaf runs. */
+TEST(MosaicPt, MemRefsOfMissingPathsPerLevel)
+{
+    struct Probe
+    {
+        std::uint64_t mvpn;
+        unsigned memRefs;
+        bool written;
+    };
+    // One ToC written at MVPN 0. The probes diverge from its path at
+    // the leaf slot (same run), the leaf run, and the two interior
+    // levels below the root.
+    const Probe probes[] = {
+        {0, 4, true},
+        {1, 4, false},
+        {std::uint64_t{1} << 9, 3, false},
+        {std::uint64_t{1} << 18, 2, false},
+        {std::uint64_t{1} << 27, 1, false},
+        {(std::uint64_t{1} << 27) + 5, 1, false},
+    };
+    for (const unsigned arity : {1u, 4u, 16u, 64u}) {
+        MosaicPageTable pt(arity, 0x7F);
+        pt.setCpfn(3 % arity, 9);
+        for (const Probe &p : probes) {
+            const auto walk = pt.walk(p.mvpn * arity);
+            EXPECT_EQ(walk.memRefs, p.memRefs)
+                << "arity " << arity << " mvpn " << p.mvpn;
+            EXPECT_EQ(walk.toc.size(), p.written ? arity : 0u);
+        }
+    }
+}
+
+TEST(VanillaPt, MemRefsOfMissingPathsPerLevel)
+{
+    VanillaPageTable pt;
+    pt.map(3, 9);
+    pt.mapHuge(std::uint64_t{1} << 30, 4096);
+    const struct
+    {
+        Vpn vpn;
+        unsigned memRefs;
+        bool present;
+    } probes[] = {
+        {0, 4, false},
+        {1, 4, false},
+        {1u << 9, 3, false},
+        {1u << 18, 2, false},
+        {std::uint64_t{1} << 27, 1, false},
+        {(std::uint64_t{1} << 30) + 7, 3, true},
+        {(std::uint64_t{1} << 30) + (1u << 9), 1, false},
+    };
+    for (const auto &p : probes) {
+        const auto walk = pt.walk(p.vpn);
+        EXPECT_EQ(walk.memRefs, p.memRefs) << "vpn " << p.vpn;
+        EXPECT_EQ(walk.present, p.present) << "vpn " << p.vpn;
+    }
+}
+
+/** Expected walk(vpn) from a model of the written ToCs. */
+void
+expectWalkMatchesModel(const MosaicPageTable &pt,
+                       const std::map<Mvpn, std::vector<Cpfn>> &model,
+                       Vpn vpn)
+{
+    const unsigned arity = pt.arity();
+    const Mvpn mvpn = pt.mvpnOf(vpn);
+    const auto walk = pt.walk(vpn);
+    // The walk visits the root and every interior node that exists on
+    // the path, then the leaf run: a node at depth d exists iff some
+    // written ToC shares the MVPN's top bits above d.
+    constexpr unsigned levels = 4;
+    unsigned refs = 0;
+    for (unsigned level = levels - 1; level >= 1; --level) {
+        ++refs;
+        const Mvpn prefix = mvpn >> (level * 9);
+        const auto it = model.lower_bound(prefix << (level * 9));
+        if (it == model.end() || (it->first >> (level * 9)) != prefix)
+            break;
+        if (level == 1)
+            ++refs;
+    }
+    EXPECT_EQ(walk.memRefs, refs) << "vpn " << vpn;
+    const auto it = model.find(mvpn);
+    if (it == model.end()) {
+        EXPECT_TRUE(walk.toc.empty()) << "vpn " << vpn;
+        EXPECT_EQ(walk.cpfn, pt.unmappedCode());
+        EXPECT_FALSE(walk.present);
+        return;
+    }
+    ASSERT_EQ(walk.toc.size(), arity);
+    for (unsigned i = 0; i < arity; ++i)
+        EXPECT_EQ(walk.toc[i], it->second[i]) << "vpn " << vpn;
+    EXPECT_EQ(walk.cpfn, it->second[pt.offsetOf(vpn)]);
+    EXPECT_EQ(walk.present, walk.cpfn != pt.unmappedCode());
+    EXPECT_EQ(pt.cpfnIn(pt.findLeaf(vpn), vpn), walk.cpfn);
+}
+
+TEST(MosaicPt, WalkMatchesMapModelAtEveryArity)
+{
+    constexpr Cpfn unmapped = 0x7F;
+    for (const unsigned arity : {1u, 4u, 16u, 64u}) {
+        MosaicPageTable pt(arity, unmapped);
+        std::map<Mvpn, std::vector<Cpfn>> model;
+        std::uint64_t mapped = 0;
+        Rng rng(arity);
+        // Clustered MVPNs, so runs hold written and never-written
+        // ToCs side by side, plus a few far-away ones.
+        const auto pick = [&]() -> Vpn {
+            const Mvpn mvpn = rng.chance(0.9)
+                ? rng.below(2000)
+                : rng.below(std::uint64_t{1} << (36 - ceilLog2(arity)));
+            return mvpn * arity + rng.below(arity);
+        };
+        for (int op = 0; op < 4000; ++op) {
+            const Vpn vpn = pick();
+            const Cpfn cpfn = rng.chance(0.2)
+                ? unmapped
+                : static_cast<Cpfn>(rng.below(unmapped));
+            auto [toc, fresh] = model.try_emplace(pt.mvpnOf(vpn));
+            if (fresh)
+                toc->second.assign(arity, unmapped);
+            Cpfn &slot = toc->second[pt.offsetOf(vpn)];
+            mapped += (cpfn != unmapped) - (slot != unmapped);
+            slot = cpfn;
+            if (cpfn == unmapped)
+                pt.clearCpfn(vpn);
+            else
+                pt.setCpfn(vpn, cpfn);
+            EXPECT_EQ(pt.mappedPages(), mapped);
+            expectWalkMatchesModel(pt, model, pick());
+        }
+        for (Vpn vpn = 0; vpn < 2100 * arity; vpn += 1 + arity / 2)
+            expectWalkMatchesModel(pt, model, vpn);
+    }
 }
 
 using MosaicPtDeathTest = ::testing::Test;

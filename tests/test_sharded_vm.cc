@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "hash/mix.hh"
 #include "mem/shard_view.hh"
 #include "oracle/shard_oracle.hh"
 #include "os/mosaic_vm.hh"
@@ -118,6 +120,85 @@ shardedConfig(std::size_t shards, EvictionPolicy policy,
     return cfg;
 }
 
+/** A touch stream that runs every shard's pool dry unevenly: ASIDs
+ *  are skewed towards the high end, so some homes fill (and steal)
+ *  while others still have free frames. ~2.25x over-commit. */
+std::vector<PageTouch>
+stealStream(std::size_t shards)
+{
+    Rng rng(4242 + shards);
+    const std::uint64_t asids = 3 * shards;
+    std::vector<PageTouch> stream;
+    for (int i = 0; i < 3000; ++i) {
+        const std::uint64_t u = rng.below(asids * asids);
+        std::uint64_t a = 0;
+        while ((a + 1) * (a + 1) <= u)
+            ++a;
+        stream.push_back(PageTouch{static_cast<Asid>(1 + a),
+                                   rng.below(24), rng.chance(0.3)});
+    }
+    return stream;
+}
+
+/** What one replay produced, folded for pinning. */
+struct ReplayResult
+{
+    std::uint64_t pfns = 0;
+    std::uint64_t stats = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t deferred = 0;
+    bool operator==(const ReplayResult &) const = default;
+};
+
+std::uint64_t
+fold(std::uint64_t h, std::uint64_t v)
+{
+    return mix64(h ^ v) + 0x9E3779B97F4A7C15ull;
+}
+
+/** Replay @p stream through touchBatch in blocks of @p block, or
+ *  through scalar touch() when @p block is 0. */
+ReplayResult
+replay(const ShardedVmConfig &cfg, const std::vector<PageTouch> &stream,
+       std::size_t block)
+{
+    ShardedMosaicVm vm(cfg);
+    std::vector<Pfn> out(stream.size());
+    if (block == 0) {
+        for (std::size_t i = 0; i < stream.size(); ++i)
+            out[i] = vm.touch(stream[i].asid, stream[i].vpn, stream[i].write);
+    } else {
+        for (std::size_t i = 0; i < stream.size(); i += block) {
+            const std::size_t n = std::min(block, stream.size() - i);
+            vm.touchBatch({stream.data() + i, n}, out.data() + i);
+        }
+    }
+    ReplayResult r;
+    for (const Pfn pfn : out)
+        r.pfns = fold(r.pfns, pfn);
+    const VmStats &s = vm.stats();
+    for (const std::uint64_t v :
+             {s.minorFaults, s.majorFaults, s.swapIns, s.swapOuts,
+              s.conflicts, s.recoveredConflicts, s.ghostEvictions,
+              s.ghostRescues, s.steadyUtilization.count()})
+        r.stats = fold(r.stats, v);
+    for (const double g : {s.firstConflictUtilization,
+                           s.firstSwapOutUtilization,
+                           s.steadyUtilization.sum()})
+        r.stats = fold(r.stats, std::bit_cast<std::uint64_t>(g));
+    r.steals = vm.counters().steals;
+    r.deferred = vm.counters().deferredBatchOps;
+    EXPECT_FALSE(checkShardConservation(vm).has_value());
+    return r;
+}
+
+struct PinnedReplay
+{
+    std::size_t shards;
+    EvictionPolicy policy;
+    std::size_t block; // 0: scalar touch()
+    ReplayResult want;
+};
 } // namespace
 
 TEST(ShardView, RouteIsInRangeAndBalanced)
@@ -390,4 +471,322 @@ TEST(ShardedVm, ShardConfigSlicesPoolAndMixesSeeds)
     EXPECT_NE(s1.seed, cfg.base.seed);
     EXPECT_EQ(s0.geometry.numFrames, cfg.base.geometry.numFrames / 4);
     EXPECT_EQ(s1.geometry.hashSeed, cfg.base.geometry.hashSeed);
+}
+
+TEST(ShardedVm, BatchedReplaysMatchPinnedCounters)
+{
+    // One stream per shard count, replayed through scalar touch()
+    // (block 0) and touchBatch at four block sizes. Pools run dry and
+    // steal, so batched order deviates from the scalar loop wherever
+    // a shard stops at its steal gate: the pins (computed when the
+    // parallel phase still cut free-frame segments and single-stepped
+    // dry shards) hold where the gate stops and what gets deferred.
+    static const PinnedReplay pinned[] = {
+        {2, EvictionPolicy::HorizonLru, 0,
+         {1317467456931006726ull, 5992939897251219186ull, 4, 0}},
+        {2, EvictionPolicy::HorizonLru, 2,
+         {1317467456931006726ull, 5992939897251219186ull, 4, 36}},
+        {2, EvictionPolicy::HorizonLru, 7,
+         {6717745962569572495ull, 3591554313143580654ull, 4, 76}},
+        {2, EvictionPolicy::HorizonLru, 64,
+         {1063647282858073640ull, 1557584221354884013ull, 0, 340}},
+        {2, EvictionPolicy::HorizonLru, 8192,
+         {1063647282858073640ull, 1557584221354884013ull, 0, 2912}},
+        {2, EvictionPolicy::LocalLru, 0,
+         {7118819280447820484ull, 14171912338970168054ull, 2, 0}},
+        {2, EvictionPolicy::LocalLru, 2,
+         {7118819280447820484ull, 14171912338970168054ull, 2, 93}},
+        {2, EvictionPolicy::LocalLru, 7,
+         {7118819280447820484ull, 14171912338970168054ull, 2, 165}},
+        {2, EvictionPolicy::LocalLru, 64,
+         {12154240878581419247ull, 17942412149139705789ull, 0, 560}},
+        {2, EvictionPolicy::LocalLru, 8192,
+         {12154240878581419247ull, 17942412149139705789ull, 0, 2912}},
+        {2, EvictionPolicy::ShrunkenCache, 0,
+         {9155177177815414164ull, 17870145588421044480ull, 0, 0}},
+        {2, EvictionPolicy::ShrunkenCache, 2,
+         {9155177177815414164ull, 17870145588421044480ull, 0, 0}},
+        {2, EvictionPolicy::ShrunkenCache, 7,
+         {9155177177815414164ull, 17870145588421044480ull, 0, 0}},
+        {2, EvictionPolicy::ShrunkenCache, 64,
+         {9155177177815414164ull, 17870145588421044480ull, 0, 0}},
+        {2, EvictionPolicy::ShrunkenCache, 8192,
+         {9155177177815414164ull, 17870145588421044480ull, 0, 0}},
+        {4, EvictionPolicy::HorizonLru, 0,
+         {8283140452689581102ull, 145111139526878821ull, 18, 0}},
+        {4, EvictionPolicy::HorizonLru, 2,
+         {9976789151981312088ull, 145111139526878821ull, 18, 56}},
+        {4, EvictionPolicy::HorizonLru, 7,
+         {9976789151981312088ull, 145111139526878821ull, 18, 86}},
+        {4, EvictionPolicy::HorizonLru, 64,
+         {15726604397362876056ull, 12515860997637041269ull, 18, 318}},
+        {4, EvictionPolicy::HorizonLru, 8192,
+         {14222385449888941822ull, 3131029348619836340ull, 0, 2759}},
+        {4, EvictionPolicy::LocalLru, 0,
+         {3658312937040211210ull, 3781211203880210043ull, 22, 0}},
+        {4, EvictionPolicy::LocalLru, 2,
+         {11260439199726264496ull, 3781211203880210043ull, 22, 172}},
+        {4, EvictionPolicy::LocalLru, 7,
+         {4958420742032063053ull, 3781211203880210043ull, 22, 248}},
+        {4, EvictionPolicy::LocalLru, 64,
+         {10233473640021422673ull, 7975745264787144566ull, 21, 639}},
+        {4, EvictionPolicy::LocalLru, 8192,
+         {5955992584394250733ull, 9479682552633882513ull, 0, 2775}},
+        {4, EvictionPolicy::ShrunkenCache, 0,
+         {11472521125776953908ull, 14454843976780314118ull, 0, 0}},
+        {4, EvictionPolicy::ShrunkenCache, 2,
+         {11472521125776953908ull, 14454843976780314118ull, 0, 0}},
+        {4, EvictionPolicy::ShrunkenCache, 7,
+         {11472521125776953908ull, 14454843976780314118ull, 0, 0}},
+        {4, EvictionPolicy::ShrunkenCache, 64,
+         {11472521125776953908ull, 14454843976780314118ull, 0, 0}},
+        {4, EvictionPolicy::ShrunkenCache, 8192,
+         {11472521125776953908ull, 14454843976780314118ull, 0, 0}},
+        {8, EvictionPolicy::HorizonLru, 0,
+         {3555445676545029357ull, 18409047449717098539ull, 79, 0}},
+        {8, EvictionPolicy::HorizonLru, 2,
+         {3555445676545029357ull, 18409047449717098539ull, 79, 170}},
+        {8, EvictionPolicy::HorizonLru, 7,
+         {3852138985316030771ull, 14742103920857233550ull, 67, 217}},
+        {8, EvictionPolicy::HorizonLru, 64,
+         {3865235657282136075ull, 8710447053258636627ull, 70, 475}},
+        {8, EvictionPolicy::HorizonLru, 8192,
+         {6835047968822923455ull, 13266622059677566703ull, 19, 2384}},
+        {8, EvictionPolicy::LocalLru, 0,
+         {16189491350585287736ull, 1828508384109367137ull, 78, 0}},
+        {8, EvictionPolicy::LocalLru, 2,
+         {16189491350585287736ull, 1828508384109367137ull, 78, 352}},
+        {8, EvictionPolicy::LocalLru, 7,
+         {15992110481685041559ull, 12936515469208979373ull, 77, 440}},
+        {8, EvictionPolicy::LocalLru, 64,
+         {6724023175505718708ull, 2620193679262105214ull, 74, 943}},
+        {8, EvictionPolicy::LocalLru, 8192,
+         {11400666226173323209ull, 17635869621762649572ull, 19, 2406}},
+        {8, EvictionPolicy::ShrunkenCache, 0,
+         {12119371830656255693ull, 8137575989121535334ull, 0, 0}},
+        {8, EvictionPolicy::ShrunkenCache, 2,
+         {12119371830656255693ull, 8137575989121535334ull, 0, 0}},
+        {8, EvictionPolicy::ShrunkenCache, 7,
+         {12119371830656255693ull, 8137575989121535334ull, 0, 0}},
+        {8, EvictionPolicy::ShrunkenCache, 64,
+         {12119371830656255693ull, 8137575989121535334ull, 0, 0}},
+        {8, EvictionPolicy::ShrunkenCache, 8192,
+         {12119371830656255693ull, 8137575989121535334ull, 0, 0}},
+    };
+    constexpr EvictionPolicy policies[] = {EvictionPolicy::HorizonLru,
+                                           EvictionPolicy::LocalLru,
+                                           EvictionPolicy::ShrunkenCache};
+    std::size_t row = 0;
+    for (const std::size_t shards : {2, 4, 8}) {
+        const std::vector<PageTouch> stream = stealStream(shards);
+        for (const EvictionPolicy policy : policies) {
+            const ShardedVmConfig cfg = shardedConfig(
+                shards, policy, SharingMode::PageIdHash, 17);
+            ReplayResult scalar;
+            for (const std::size_t block : {0, 2, 7, 64, 8192}) {
+                ASSERT_LT(row, std::size(pinned));
+                const PinnedReplay &pin = pinned[row++];
+                ASSERT_EQ(pin.shards, shards);
+                ASSERT_EQ(pin.policy, policy);
+                ASSERT_EQ(pin.block, block);
+                const ReplayResult got = replay(cfg, stream, block);
+                EXPECT_EQ(got, pin.want)
+                    << shards << " shards, policy "
+                    << static_cast<int>(policy) << ", block " << block
+                    << ": {" << got.pfns << "ull, " << got.stats
+                    << "ull, " << got.steals << ", " << got.deferred
+                    << "}";
+                if (block == 0) {
+                    scalar = got;
+                    if (policy != EvictionPolicy::ShrunkenCache) {
+                        EXPECT_GT(got.steals, 0u);
+                    }
+                } else if (policy == EvictionPolicy::ShrunkenCache) {
+                    // No steals under ShrunkenCache: batch == scalar.
+                    EXPECT_EQ(got, scalar);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(row, std::size(pinned));
+}
+
+/** The steal gate as the sharded engine once evaluated it from the
+ *  outside: dry pool, page absent, no swap copy, and placement under
+ *  the predicate "lastAccess below the horizon" hard-conflicts. */
+bool
+referenceWouldSteal(MosaicVm &vm, const PageTouch &t)
+{
+    if (vm.frameTable().usedFrames() < vm.numFrames())
+        return false;
+    if (vm.pageTable(t.asid).walk(t.vpn).present)
+        return false;
+    const std::uint64_t key = packPageId(PageId{t.asid, t.vpn});
+    if (vm.swapDevice().contains(key))
+        return false;
+    const Tick h = vm.horizon();
+    const CandidateSet cand = vm.allocator().mapper().candidates(key);
+    return !vm.allocator()
+                .place(cand, vm.frameTable(),
+                       [h](const Frame &f) { return f.lastAccess < h; })
+                .has_value();
+}
+
+TEST(ShardedVm, GatedBatchMatchesWouldStealLoop)
+{
+    // touchBatchUntilSteal against the plain loop "would steal ? stop
+    // : touch()": same stop position, PFNs and stats. A stopped touch
+    // is then applied to both with touch(), as a shard with no donor
+    // would, so the stream keeps going past every gate.
+    for (const EvictionPolicy policy :
+             {EvictionPolicy::HorizonLru, EvictionPolicy::LocalLru}) {
+        MosaicVmConfig cfg;
+        cfg.geometry = tinyGeometry(8);
+        cfg.policy = policy;
+        cfg.seed = 3;
+        MosaicVm gated(cfg);
+        MosaicVm plain(cfg);
+        Rng rng(8);
+        std::vector<PageTouch> stream;
+        for (int i = 0; i < 6000; ++i) {
+            stream.push_back(
+                PageTouch{static_cast<Asid>(1 + rng.below(6)),
+                          rng.below(40), rng.chance(0.3)});
+        }
+        std::size_t stops = 0;
+        std::size_t pos = 0;
+        std::size_t round = 0;
+        constexpr std::size_t blocks[] = {1, 2, 7, 64};
+        while (pos < stream.size()) {
+            const std::size_t n = std::min(
+                blocks[round++ % std::size(blocks)], stream.size() - pos);
+            std::vector<Pfn> got(n, invalidPfn);
+            const std::size_t applied = gated.touchBatchUntilSteal(
+                {stream.data() + pos, n}, got.data());
+            std::size_t want = 0;
+            for (; want < n; ++want) {
+                const PageTouch &t = stream[pos + want];
+                if (referenceWouldSteal(plain, t))
+                    break;
+                ASSERT_EQ(got[want], plain.touch(t.asid, t.vpn, t.write))
+                    << "op " << pos + want;
+            }
+            ASSERT_EQ(applied, want) << "block at op " << pos;
+            pos += applied;
+            if (applied < n) {
+                ++stops;
+                const PageTouch &t = stream[pos++];
+                ASSERT_EQ(gated.touch(t.asid, t.vpn, t.write),
+                          plain.touch(t.asid, t.vpn, t.write));
+            }
+        }
+        EXPECT_GT(stops, 0u);
+        expectStatsEqual(gated.stats(), plain.stats());
+        EXPECT_EQ(gated.ghostPages(), plain.ghostPages());
+    }
+}
+
+/** The per-ASID forward counts, as a map. */
+std::map<Asid, std::size_t>
+forwardCounts(const ShardedMosaicVm &vm)
+{
+    std::map<Asid, std::size_t> counts;
+    vm.forEachForwardCount(
+        [&](Asid asid, std::size_t n) { counts[asid] = n; });
+    return counts;
+}
+
+TEST(ShardedVm, ForwardCountsTrackStealUnmapAndResteal)
+{
+    const ShardedVmConfig cfg = shardedConfig(
+        2, EvictionPolicy::HorizonLru, SharingMode::PageIdHash, 5);
+    ShardedMosaicVm vm(cfg);
+    Asid a = 1;
+    while (vm.homeShard(a) != 0)
+        ++a;
+    Asid b = static_cast<Asid>(a + 1);
+    while (vm.homeShard(b) != 0)
+        ++b;
+    const Vpn half = vm.numFrames() / 2;
+    // Fill the home with a, then fault b in: b's overflow steals.
+    for (Vpn v = 0; v < half; ++v)
+        vm.touch(a, v, true);
+    for (Vpn v = 0; v < half / 2; ++v)
+        vm.touch(b, v, true);
+    const std::uint64_t steals = vm.counters().steals;
+    ASSERT_GT(steals, 0u);
+    ASSERT_FALSE(checkShardConservation(vm).has_value());
+    ASSERT_EQ(forwardCounts(vm).size(), 1u);
+    EXPECT_EQ(forwardCounts(vm)[b], vm.forwardEntries());
+
+    // Unmapping b's range kills its entries and its count.
+    vm.unmapRange(b, 0, half / 2);
+    EXPECT_EQ(vm.forwardEntries(), 0u);
+    EXPECT_TRUE(forwardCounts(vm).empty());
+    ASSERT_FALSE(checkShardConservation(vm).has_value());
+
+    // Re-stealing the same pages counts them again; routing follows.
+    for (Vpn v = 0; v < half / 2; ++v)
+        vm.touch(b, v, true);
+    EXPECT_GT(vm.counters().steals, steals);
+    EXPECT_EQ(forwardCounts(vm)[b], vm.forwardEntries());
+    vm.forEachForward([&](std::uint64_t key, std::uint32_t target) {
+        EXPECT_EQ(vm.routeOf(b, key & ((std::uint64_t{1} << 48) - 1)),
+                  target);
+    });
+    ASSERT_FALSE(checkShardConservation(vm).has_value());
+
+    // A partial unmap drops exactly the entries in range.
+    vm.unmapRange(b, 0, half / 4);
+    EXPECT_EQ(forwardCounts(vm)[b], vm.forwardEntries());
+    ASSERT_FALSE(checkShardConservation(vm).has_value());
+}
+
+TEST(ShardedVm, ForwardCountsTrackShareRehomeAndStaleErase)
+{
+    const ShardedVmConfig cfg = shardedConfig(
+        4, EvictionPolicy::HorizonLru, SharingMode::LocationId, 21);
+    ShardedMosaicVm vm(cfg);
+    const Asid dst = 1;
+    // Sources homed away from dst (two different shards) and one
+    // homed with it.
+    Asid away = 2;
+    while (vm.homeShard(away) == vm.homeShard(dst))
+        ++away;
+    Asid other = static_cast<Asid>(away + 1);
+    while (vm.homeShard(other) == vm.homeShard(dst) ||
+               vm.homeShard(other) == vm.homeShard(away))
+        ++other;
+    Asid local = static_cast<Asid>(other + 1);
+    while (vm.homeShard(local) != vm.homeShard(dst))
+        ++local;
+    const auto check = [&](std::size_t want) {
+        EXPECT_EQ(vm.forwardEntries(), want);
+        EXPECT_EQ(forwardCounts(vm)[dst], want);
+        ASSERT_FALSE(checkShardConservation(vm).has_value());
+    };
+
+    // A cross-shard share forwards dst's two ToCs.
+    for (Vpn v = 0; v < 8; ++v)
+        vm.touch(away, v, true);
+    vm.shareRange(away, 0, dst, 0, 8);
+    check(2);
+    EXPECT_EQ(vm.routeOf(dst, 0), vm.homeShard(away));
+
+    // Unmapping kills the bindings; the ToC entries are sticky.
+    vm.unmapRange(dst, 0, 8);
+    check(2);
+
+    // Re-sharing from a third shard overwrites them in place.
+    vm.shareRange(other, 0, dst, 0, 8);
+    check(2);
+    EXPECT_EQ(vm.routeOf(dst, 0), vm.homeShard(other));
+    vm.unmapRange(dst, 0, 8);
+
+    // Sharing from dst's own home re-homes the ToCs: the stale
+    // entries are erased and routing skips the probe again.
+    vm.shareRange(local, 0, dst, 0, 8);
+    check(0);
+    EXPECT_TRUE(forwardCounts(vm).empty());
+    EXPECT_EQ(vm.routeOf(dst, 0), vm.homeShard(dst));
 }
