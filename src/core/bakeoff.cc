@@ -79,7 +79,7 @@ runBakeoffCell(WorkloadKind kind, const BakeoffOptions &options,
     TranslationSimConfig config;
     config.memory = ampleGeometry(workload->info().footprintBytes);
     config.tlbEntries = options.tlbEntries;
-    config.waysList = {options.ways};
+    config.waysList = {}; // no grid: the spec designs are the cell
     config.arities = {arity};
     config.kernel.accessEvery = 0;
     config.designWays = options.ways;

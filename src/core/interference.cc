@@ -167,7 +167,9 @@ runInterferenceCell(const InterferenceOptions &options,
     TranslationSimConfig config;
     config.memory = ampleGeometry(total_footprint);
     config.tlbEntries = options.tlbEntries;
-    config.waysList = {options.ways};
+    // No grid: the spec designs are the cell; the arity is the
+    // sharded VM's.
+    config.waysList = {};
     config.arities = {options.arity};
     config.kernel.accessEvery = 0;
     config.designWays = options.ways;

@@ -1,5 +1,8 @@
 #include "core/translation_sim.hh"
 
+#include <algorithm>
+
+#include "tlb/base_designs.hh"
 #include "tlb/design_registry.hh"
 #include "util/log.hh"
 
@@ -19,26 +22,16 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
     : config_(config),
       allocator_(config.memory),
       frames_(config.memory.numFrames),
+      walker_(allocator_.mapper().codec().invalid()),
       kernelBase_(Addr{1} << 40),
       kernelRng_(config.seed ^ 0x4B45524Eull),
       activeAsid_(config.asid)
 {
-    ensure(!config_.waysList.empty(), "sim: need at least one ways value");
     ensure(!config_.arities.empty(), "sim: need at least one arity");
 
-    for (const unsigned ways : config_.waysList) {
-        const TlbGeometry g{config_.tlbEntries, ways};
-        vanillaTlbs_.push_back(std::make_unique<VanillaTlb>(g));
-        auto &row = mosaicTlbs_.emplace_back();
-        for (const unsigned arity : config_.arities)
-            row.push_back(std::make_unique<MosaicTlb>(g, arity));
-        if (config_.instr.enabled) {
-            itlbVanilla_.push_back(std::make_unique<VanillaTlb>(g));
-            auto &irow = itlbMosaic_.emplace_back();
-            for (const unsigned arity : config_.arities)
-                irow.push_back(std::make_unique<MosaicTlb>(g, arity));
-        }
-    }
+    buildGrid(designs_);
+    if (config_.instr.enabled)
+        buildGrid(itlb_);
 
     if (config_.vmShards > 0) {
         // Round the pool up so it splits into bucket-aligned shard
@@ -69,115 +62,136 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
 }
 
 void
+TranslationSim::buildGrid(Designs &list) const
+{
+    for (const unsigned ways : config_.waysList) {
+        list.push_back(std::make_unique<VanillaDesign>(
+            TlbGeometry{config_.tlbEntries, ways}));
+    }
+    for (const unsigned ways : config_.waysList) {
+        for (const unsigned arity : config_.arities) {
+            list.push_back(std::make_unique<MosaicDesign>(
+                TlbGeometry{config_.tlbEntries, ways}, arity));
+        }
+    }
+}
+
+std::size_t
+TranslationSim::mosaicIndex(std::size_t ways_idx,
+                            std::size_t arity_idx) const
+{
+    ensure(ways_idx < numWays() && arity_idx < numArities(),
+           "sim: grid index out of range");
+    return numWays() + ways_idx * numArities() + arity_idx;
+}
+
+void
 TranslationSim::setActiveAsid(Asid asid)
 {
     activeAsid_ = asid;
-    activeVanillaPt_ = &vanillaPtFor(asid);
+    active_ = &spaceFor(asid);
+}
 
-    // The only insert into mosaicPts_: a new address space may rehash
-    // it and move every set, so the cache is re-pointed here.
-    auto [pts, inserted] = mosaicPts_.emplace(asid);
-    if (inserted) {
-        const Cpfn unmapped = allocator_.mapper().codec().invalid();
-        for (const unsigned arity : config_.arities) {
-            pts.push_back(
-                std::make_unique<MosaicPageTable>(arity, unmapped));
-        }
-    }
-    activePts_ = &pts;
+TranslationSim::AddressSpace &
+TranslationSim::spaceFor(Asid asid)
+{
+    auto [space, inserted] = spaces_.emplace(asid);
+    if (inserted)
+        space = std::make_unique<AddressSpace>(walker_.unmappedCode());
+    return *space;
 }
 
 std::optional<Pfn>
-TranslationSim::DesignWalker::pfnOf(Asid asid, Vpn vpn)
+TranslationSim::Walker::pfnOf(Asid asid, Vpn vpn)
 {
-    const VanillaWalkResult walk = sim_.vanillaPtFor(asid).walk(vpn);
+    ensure(asid == asid_, "sim walker: not the active address space");
+    if (vpn == vpn_)
+        return pfn_;
+    const VanillaWalkResult walk = space_->vanilla.walk(vpn);
     if (!walk.present)
         return std::nullopt;
     return walk.pfn;
 }
 
 void
-TranslationSim::DesignWalker::tocOf(Asid asid, Vpn vpn, unsigned arity,
-                                    std::span<Cpfn> out)
+TranslationSim::Walker::tocOf(Asid asid, Vpn vpn, unsigned arity,
+                              std::span<Cpfn> out)
 {
-    const Cpfn unmapped = unmappedCode();
-    const Vpn first = vpn & ~Vpn{arity - 1};
-    for (unsigned i = 0; i < arity; ++i) {
-        const Cpfn *cpfn =
-            sim_.designCpfns_.find(packPageId(PageId{asid, first + i}));
-        out[i] = cpfn != nullptr ? *cpfn : unmapped;
+    ensure(asid == asid_, "sim walker: not the active address space");
+    const Cpfn *leaf;
+    if ((vpn ^ vpn_) < maxArity) {
+        // The current reference's 64-page group: one leaf lookup
+        // serves every design and arity.
+        if (leaf_ == nullptr)
+            leaf_ = space_->mosaic.findLeaf(vpn_);
+        leaf = leaf_;
+    } else {
+        leaf = space_->mosaic.findLeaf(vpn);
     }
-}
-
-Cpfn
-TranslationSim::DesignWalker::unmappedCode() const
-{
-    return sim_.allocator_.mapper().codec().invalid();
-}
-
-VanillaPageTable &
-TranslationSim::vanillaPtFor(Asid asid)
-{
-    auto [pt, inserted] = vanillaPts_.emplace(asid);
-    if (inserted)
-        pt = std::make_unique<VanillaPageTable>();
-    return *pt;
+    if (leaf == nullptr) {
+        std::fill(out.begin(), out.end(), unmapped_);
+        return;
+    }
+    const unsigned first = static_cast<unsigned>(vpn % maxArity) &
+                           ~(arity - 1);
+    std::copy_n(leaf + first, arity, out.begin());
 }
 
 const TlbStats &
 TranslationSim::vanillaStats(std::size_t ways_idx) const
 {
-    return vanillaTlbs_.at(ways_idx)->stats();
+    ensure(ways_idx < numWays(), "sim: grid index out of range");
+    return designs_[ways_idx]->stats();
 }
 
 const TlbStats &
 TranslationSim::mosaicStats(std::size_t ways_idx,
                             std::size_t arity_idx) const
 {
-    return mosaicTlbs_.at(ways_idx).at(arity_idx)->stats();
+    return designs_[mosaicIndex(ways_idx, arity_idx)]->stats();
 }
 
 const TlbStats &
 TranslationSim::itlbVanillaStats(std::size_t ways_idx) const
 {
-    return itlbVanilla_.at(ways_idx)->stats();
+    ensure(ways_idx < numWays(), "sim: grid index out of range");
+    return itlb_.at(ways_idx)->stats();
 }
 
 const TlbStats &
 TranslationSim::itlbMosaicStats(std::size_t ways_idx,
                                 std::size_t arity_idx) const
 {
-    return itlbMosaic_.at(ways_idx).at(arity_idx)->stats();
+    return itlb_.at(mosaicIndex(ways_idx, arity_idx))->stats();
 }
 
 Pfn
 TranslationSim::vanillaPfnOf(Vpn vpn) const
 {
-    const VanillaWalkResult walk = activeVanillaPt_->walk(vpn);
+    const VanillaWalkResult walk = active_->vanilla.walk(vpn);
     return walk.present ? walk.pfn : invalidPfn;
 }
 
 Pfn
 TranslationSim::mosaicPfnOf(Vpn vpn) const
 {
-    const MosaicWalkResult walk = activePts_->front()->walk(vpn);
+    const MosaicWalkResult walk = active_->mosaic.walk(vpn);
     if (!walk.present)
         return invalidPfn;
-    const CandidateSet cand = allocator_.mapper().candidates(
-        PageId{activeAsid_, vpn});
-    return allocator_.mapper().toPfn(cand, walk.cpfn);
+    return allocator_.mapper().pfnOf(
+        packPageId(PageId{activeAsid_, vpn}), walk.cpfn);
 }
 
 Pfn
 TranslationSim::ensureMapped(Vpn vpn)
 {
-    const VanillaWalkResult walk = activeVanillaPt_->walk(vpn);
+    const VanillaWalkResult walk = active_->vanilla.walk(vpn);
     if (walk.present)
         return walk.pfn;
 
     // Vanilla side: bump allocation of a fresh frame.
     const Pfn pfn = vanillaNextPfn_++;
-    activeVanillaPt_->map(vpn, pfn);
+    active_->vanilla.map(vpn, pfn);
 
     // Mosaic side: iceberg placement. Memory is sized well below the
     // conflict regime for this experiment, so a conflict means the
@@ -192,80 +206,18 @@ TranslationSim::ensureMapped(Vpn vpn)
               "(associativity conflict during demand mapping)");
     }
     frames_.map(placement->pfn, PageId{activeAsid_, vpn}, clock_);
-    for (auto &pt : *activePts_)
-        pt->setCpfn(vpn, placement->cpfn);
-    if (!designs_.empty()) {
-        auto [cpfn, inserted] =
-            designCpfns_.emplace(packPageId(PageId{activeAsid_, vpn}));
-        cpfn = placement->cpfn;
-        (void)inserted;
-    }
+    active_->mosaic.setCpfn(vpn, placement->cpfn);
     ++mappedPages_;
     return pfn;
 }
 
 void
-TranslationSim::fillMosaic(MosaicGrid &grid, Vpn vpn)
+TranslationSim::translate(const Designs &designs, Vpn vpn)
 {
-    const Asid asid = activeAsid_;
-    const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = *activePts_;
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        bool walked = false;
-        MosaicWalkResult walk;
-        for (auto &row : grid) {
-            MosaicTlb &tlb = *row[a];
-            if (!tlb.lookup(asid, vpn)) {
-                if (!walked) {
-                    walk = pts[a]->walk(vpn);
-                    walked = true;
-                }
-                tlb.fill(asid, vpn, walk.toc, unmapped);
-            }
-        }
-    }
-}
-
-void
-TranslationSim::translate(Vpn vpn, bool kernel)
-{
-    if (kernel) {
-        // Vanilla maps the kernel with 2 MiB pages; each mosaic TLB
-        // caches kernel pages as conventional full entries. Kernel
-        // mappings are global: one ASID tag shared by everyone.
-        if (kernelPt_ == nullptr)
-            kernelPt_ = &vanillaPtFor(kernelAsid);
-        VanillaWalkResult walk = kernelPt_->walk(vpn);
-        if (!walk.present) {
-            // Allocate a 512-frame-aligned huge region lazily.
-            vanillaNextPfn_ = (vanillaNextPfn_ + 511) & ~Pfn{511};
-            kernelPt_->mapHuge(vpn, vanillaNextPfn_);
-            vanillaNextPfn_ += 512;
-            walk = kernelPt_->walk(vpn);
-        }
-        for (auto &tlb : vanillaTlbs_) {
-            if (!tlb->lookup(kernelAsid, vpn))
-                tlb->fillHuge(kernelAsid, vpn, walk.pfn - (vpn & 0x1FF));
-        }
-        for (auto &row : mosaicTlbs_) {
-            for (auto &tlb : row) {
-                if (!tlb->lookupConventional(kernelAsid, vpn))
-                    tlb->fillConventional(kernelAsid, vpn, walk.pfn);
-            }
-        }
-        return;
-    }
-
-    const Asid asid = activeAsid_;
     const Pfn pfn = ensureMapped(vpn);
-    for (auto &tlb : vanillaTlbs_) {
-        if (!tlb->lookup(asid, vpn))
-            tlb->fill(asid, vpn, pfn);
-    }
-    fillMosaic(mosaicTlbs_, vpn);
-
-    for (auto &design : designs_)
-        design->access(asid, vpn, designWalker_);
+    walker_.setCurrent(*active_, activeAsid_, vpn, pfn);
+    for (const auto &design : designs)
+        design->access(activeAsid_, vpn, walker_);
 }
 
 void
@@ -277,14 +229,7 @@ TranslationSim::instructionFetch()
         offset = instrRng_.below(i.hotBytes);
     else
         offset = instrRng_.below(i.codeBytes);
-    const Vpn vpn = vpnOf(codeBase_ + offset);
-    const Asid asid = activeAsid_;
-    const Pfn pfn = ensureMapped(vpn);
-    for (auto &tlb : itlbVanilla_) {
-        if (!tlb->lookup(asid, vpn))
-            tlb->fill(asid, vpn, pfn);
-    }
-    fillMosaic(itlbMosaic_, vpn);
+    translate(itlb_, vpnOf(codeBase_ + offset));
 }
 
 void
@@ -297,26 +242,37 @@ TranslationSim::kernelAccess()
     else
         offset = kernelRng_.below(k.regionBytes);
     ++accesses_;
-    translate(vpnOf(kernelBase_ + offset), true);
+    const Vpn vpn = vpnOf(kernelBase_ + offset);
+
+    // Vanilla maps the kernel with 2 MiB pages; each mosaic TLB
+    // caches kernel pages as conventional full entries. Kernel
+    // mappings are global: one ASID tag shared by everyone. Only the
+    // grid sees them (DESIGN.md §14.3).
+    if (kernel_ == nullptr)
+        kernel_ = &spaceFor(kernelAsid);
+    VanillaWalkResult walk = kernel_->vanilla.walk(vpn);
+    if (!walk.present) {
+        // Allocate a 512-frame-aligned huge region lazily.
+        vanillaNextPfn_ = (vanillaNextPfn_ + 511) & ~Pfn{511};
+        kernel_->vanilla.mapHuge(vpn, vanillaNextPfn_);
+        vanillaNextPfn_ += 512;
+        walk = kernel_->vanilla.walk(vpn);
+    }
+    for (std::size_t d = 0; d < numWays() * (1 + numArities()); ++d)
+        designs_[d]->accessHuge(kernelAsid, vpn, walk.pfn);
 }
 
 void
 TranslationSim::accessBatch(std::span<const MemRef> block)
 {
-    // The whole TLB grid probes the same VPN per reference, so one
-    // lookahead reference's sets are warmed across every instance
+    // Every design probes the same VPN per reference, so one
+    // lookahead reference's sets are warmed across every design
     // while the current reference translates. The apply loop is the
     // scalar path itself: equivalence is by identical call sequence.
     constexpr std::size_t lookahead = 4;
     for (std::size_t i = 0; i < block.size(); ++i) {
         if (i + lookahead < block.size()) {
             const Vpn vpn = vpnOf(block[i + lookahead].vaddr);
-            for (const auto &tlb : vanillaTlbs_)
-                tlb->prefetchSets(vpn);
-            for (const auto &row : mosaicTlbs_) {
-                for (const auto &tlb : row)
-                    tlb->prefetchSets(vpn);
-            }
             for (const auto &design : designs_)
                 design->prefetchSets(vpn);
         }
@@ -328,7 +284,7 @@ void
 TranslationSim::access(Addr vaddr, bool write)
 {
     ++accesses_;
-    translate(vpnOf(vaddr), false);
+    translate(designs_, vpnOf(vaddr));
 
     if (shardedVm_)
         shardedVm_->touch(activeAsid_, vpnOf(vaddr), write);

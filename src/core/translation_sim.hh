@@ -5,13 +5,13 @@
  * mosaic TLBs of several arities — and, across the other sweep axis,
  * to instances of every associativity — mirroring the paper's gem5
  * model, which runs a vanilla and a mosaic TLB side by side on one
- * execution (§3.1).
+ * execution (§3.1). Every one of those TLBs is a registry design
+ * (DESIGN.md §14) in one list, next to any designs a config names.
  *
  * Memory is ample in this experiment (no swapping); the simulator
  * performs demand mapping: the first touch of a page allocates a
  * frame on the vanilla side (bump allocation) and a mosaic placement
- * via the iceberg allocator, then installs page-table entries in
- * every page table.
+ * via the iceberg allocator, then installs both page-table entries.
  *
  * A configurable background "kernel" access stream models the
  * artifact the paper documents: the vanilla kernel is mapped with
@@ -24,18 +24,15 @@
 
 #include <memory>
 #include <span>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "mem/frame_table.hh"
 #include "mem/mosaic_allocator.hh"
 #include "os/sharded_vm.hh"
 #include "pt/mosaic_page_table.hh"
 #include "pt/vanilla_page_table.hh"
-#include "tlb/mosaic_tlb.hh"
 #include "tlb/translation_design.hh"
-#include "tlb/vanilla_tlb.hh"
 #include "util/flat_map.hh"
 #include "util/random.hh"
 #include "workloads/access_sink.hh"
@@ -91,23 +88,24 @@ struct TranslationSimConfig
     /** Total TLB entries (Table 1a: 1024). */
     unsigned tlbEntries = 1024;
 
-    /** TLB associativities to instantiate; tlbEntries = fully
-     *  associative (paper: direct, 2, 4, 8, full). */
+    /** TLB associativities of the vanilla × mosaic grid; tlbEntries
+     *  = fully associative (paper: direct, 2, 4, 8, full). Empty =
+     *  no grid, only designSpecs. */
     std::vector<unsigned> waysList{1, 2, 4, 8, 1024};
 
-    /** Mosaic arities to instantiate (paper: 4..64). */
+    /** Mosaic arities of the grid (paper: 4..64); the first is also
+     *  the sharded VM's arity. */
     std::vector<unsigned> arities{4, 8, 16, 32, 64};
 
     KernelConfig kernel{};
     InstrConfig instr{};
 
     /**
-     * Registry specs (DESIGN.md §14) of pluggable translation designs
-     * driven alongside the builtin grid: every *data* reference is fed
-     * to each design after the grid TLBs (the kernel and instruction
-     * streams stay grid-only, so design stats compare workloads, not
-     * the huge-page artifact). A bad spec is a configuration error
-     * (fatal). Empty = no designs, zero overhead.
+     * Registry specs (DESIGN.md §14) of further translation designs,
+     * listed after the grid: every *data* reference is fed to each
+     * of them (the kernel and instruction streams reach the grid
+     * only, so design stats compare workloads, not the huge-page
+     * artifact). A bad spec is a configuration error (fatal).
      */
     std::vector<std::string> designSpecs;
 
@@ -121,8 +119,8 @@ struct TranslationSimConfig
      * k >= 1 = attach a ShardedMosaicVm with k shards whose pool is
      * `memory` rounded up to a splittable size, and touch it once
      * per data reference in the active ASID. Ride-along demand
-     * paging only — the TLB grid and design results are unaffected,
-     * so existing goldens hold at the default.
+     * paging only — the design results are unaffected, so existing
+     * goldens hold at the default.
      */
     std::size_t vmShards = 0;
 
@@ -130,7 +128,12 @@ struct TranslationSimConfig
     std::uint64_t seed = 7;
 };
 
-/** Feeds one reference stream to the whole TLB configuration grid. */
+/**
+ * Feeds one reference stream to every translation design: the
+ * vanilla × mosaic grid of config.waysList × config.arities, then the
+ * designs config.designSpecs names. All of them read one walker over
+ * one vanilla and one mosaic page table per address space.
+ */
 class TranslationSim : public AccessSink
 {
   public:
@@ -159,7 +162,11 @@ class TranslationSim : public AccessSink
     std::size_t numWays() const { return config_.waysList.size(); }
     std::size_t numArities() const { return config_.arities.size(); }
 
-    /** Pluggable designs built from config.designSpecs, in order. */
+    /**
+     * Every data-stream design, in order: a VanillaDesign per ways,
+     * then a MosaicDesign per (ways, arity), ways-major, then one per
+     * config.designSpecs entry.
+     */
     std::size_t numDesigns() const { return designs_.size(); }
     const TranslationDesign &
     design(std::size_t i) const
@@ -167,11 +174,13 @@ class TranslationSim : public AccessSink
         return *designs_.at(i);
     }
 
+    /** Stats of the data grid's entries. */
     const TlbStats &vanillaStats(std::size_t ways_idx) const;
     const TlbStats &mosaicStats(std::size_t ways_idx,
                                 std::size_t arity_idx) const;
 
-    /** ITLB counters (meaningful only with instr.enabled). */
+    /** The same grid over the instruction stream; empty unless
+     *  instr.enabled. */
     const TlbStats &itlbVanillaStats(std::size_t ways_idx) const;
     const TlbStats &itlbMosaicStats(std::size_t ways_idx,
                                     std::size_t arity_idx) const;
@@ -198,81 +207,104 @@ class TranslationSim : public AccessSink
     const ShardedMosaicVm *shardedVm() const { return shardedVm_.get(); }
 
   private:
-    /** Demand-map @p vpn in the active address space; returns its
-     *  vanilla PFN (the walk every vanilla fill of this reference
-     *  reuses). */
-    Pfn ensureMapped(Vpn vpn);
-    void kernelAccess();
-    void instructionFetch();
-    void translate(Vpn vpn, bool kernel);
-
-    /** A mosaic TLB grid, [ways][arity]. */
-    using MosaicGrid = std::vector<std::vector<std::unique_ptr<MosaicTlb>>>;
-
-    /** Look @p vpn up in every TLB of @p grid, filling the misses
-     *  from one walk per arity of the active address space. */
-    void fillMosaic(MosaicGrid &grid, Vpn vpn);
+    using Designs = std::vector<std::unique_ptr<TranslationDesign>>;
 
     /**
-     * The designs' window onto this simulator's page tables
-     * (DESIGN.md §14): full PFNs come from the vanilla page table
-     * (whose bump allocation is the contiguity designs' best case),
-     * mosaic ToCs from the per-page CPFN record ensureMapped keeps —
-     * one CPFN per page, valid for every arity, so designs may use
-     * arities the mosaic grid does not instantiate.
+     * The page tables of one address space. The mosaic table is
+     * built at maxArity: the ToC of any arity a is the aligned
+     * a-slice of its 64-wide ToC, so one table serves every arity.
      */
-    class DesignWalker final : public TranslationWalker
+    struct AddressSpace
+    {
+        explicit AddressSpace(Cpfn unmapped) : mosaic(maxArity, unmapped) {}
+
+        VanillaPageTable vanilla;
+        MosaicPageTable mosaic;
+    };
+
+    /**
+     * The designs' one window onto the page tables. It memoizes the
+     * reference being translated: pfnOf of that page is the PFN
+     * ensureMapped returned, and its mosaic leaf is found at most
+     * once however many designs miss on it. Other pages (neighbour
+     * probes, prefetch targets) walk the tables. Designs only run in
+     * the active address space.
+     */
+    class Walker final : public TranslationWalker
     {
       public:
-        explicit DesignWalker(TranslationSim &sim) : sim_(sim) {}
+        explicit Walker(Cpfn unmapped) : unmapped_(unmapped) {}
+
+        void
+        setCurrent(AddressSpace &space, Asid asid, Vpn vpn, Pfn pfn)
+        {
+            space_ = &space;
+            asid_ = asid;
+            vpn_ = vpn;
+            pfn_ = pfn;
+            leaf_ = nullptr;
+        }
 
         std::optional<Pfn> pfnOf(Asid asid, Vpn vpn) override;
         void tocOf(Asid asid, Vpn vpn, unsigned arity,
                    std::span<Cpfn> out) override;
-        Cpfn unmappedCode() const override;
+        Cpfn unmappedCode() const override { return unmapped_; }
 
       private:
-        TranslationSim &sim_;
+        AddressSpace *space_ = nullptr;
+        Asid asid_ = 0;
+        Vpn vpn_ = 0;
+        Pfn pfn_ = invalidPfn;
+
+        /** The current reference's 64-wide ToC; nullptr until a
+         *  design first asks (it exists: the page is mapped). */
+        const Cpfn *leaf_ = nullptr;
+        Cpfn unmapped_;
     };
+
+    /** Append the vanilla × mosaic grid to @p list. */
+    void buildGrid(Designs &list) const;
+
+    /** Position of grid entry (ways_idx, arity_idx)'s MosaicDesign;
+     *  ways_idx's VanillaDesign sits at ways_idx. */
+    std::size_t mosaicIndex(std::size_t ways_idx,
+                            std::size_t arity_idx) const;
+
+    AddressSpace &spaceFor(Asid asid);
+
+    /** Demand-map @p vpn in the active address space; returns its
+     *  vanilla PFN. */
+    Pfn ensureMapped(Vpn vpn);
+
+    /** Map @p vpn and feed it to every design of @p designs. */
+    void translate(const Designs &designs, Vpn vpn);
+
+    void kernelAccess();
+    void instructionFetch();
 
     TranslationSimConfig config_;
 
-    // Vanilla side (one page table per address space).
-    std::vector<std::unique_ptr<VanillaTlb>> vanillaTlbs_;
-    FlatMap<Asid, std::unique_ptr<VanillaPageTable>> vanillaPts_;
+    /** Data-stream designs, grid first. */
+    Designs designs_;
+
+    /** Instruction-stream designs: the grid alone. */
+    Designs itlb_;
+
+    // One page-table pair per address space, behind unique_ptrs so
+    // the cached active and kernel pointers survive a rehash.
+    FlatMap<Asid, std::unique_ptr<AddressSpace>> spaces_;
+    AddressSpace *active_ = nullptr;
+    AddressSpace *kernel_ = nullptr;
     Pfn vanillaNextPfn_ = 0;
 
-    /** Mosaic page tables of one address space, one per arity. */
-    using MosaicPtSet = std::vector<std::unique_ptr<MosaicPageTable>>;
-
-    VanillaPageTable &vanillaPtFor(Asid asid);
-
-    // The active and kernel address spaces' page tables, cached so a
-    // reference costs no ASID map probe. Vanilla tables live behind
-    // unique_ptrs and never move, whoever inserts; mosaicPts_ is only
-    // inserted into by setActiveAsid, which re-points activePts_.
-    VanillaPageTable *activeVanillaPt_ = nullptr;
-    MosaicPtSet *activePts_ = nullptr;
-    VanillaPageTable *kernelPt_ = nullptr;
-
-    // Mosaic side: per-ASID page tables, TLB grid [ways][arity].
+    // Mosaic placement.
     MosaicAllocator allocator_;
     FrameTable frames_;
-    FlatMap<Asid, MosaicPtSet> mosaicPts_;
-    MosaicGrid mosaicTlbs_;
 
-    // Instruction TLBs (same grid shape, fed by synthetic fetches).
-    std::vector<std::unique_ptr<VanillaTlb>> itlbVanilla_;
-    MosaicGrid itlbMosaic_;
+    Walker walker_;
 
     /** Optional sharded multi-tenant VM engine fed the data stream. */
     std::unique_ptr<ShardedMosaicVm> shardedVm_;
-
-    // Pluggable designs (data stream only) and their walker state:
-    // CPFN by packPageId(asid, vpn), recorded only when designs exist.
-    std::vector<std::unique_ptr<TranslationDesign>> designs_;
-    FlatMap<std::uint64_t, Cpfn> designCpfns_;
-    DesignWalker designWalker_{*this};
 
     // Kernel stream state.
     Addr kernelBase_;

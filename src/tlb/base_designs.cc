@@ -30,6 +30,13 @@ VanillaDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
     return false;
 }
 
+void
+VanillaDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    if (!tlb_.lookup(asid, vpn))
+        tlb_.fillHuge(asid, vpn, pfn - vpn % pagesPerHugePage);
+}
+
 bool
 VanillaDesign::contains(Asid asid, Vpn vpn) const
 {
@@ -88,6 +95,13 @@ MosaicDesign::access(Asid asid, Vpn vpn, TranslationWalker &walker)
         return true;
     fillFromWalk(asid, vpn, walker);
     return false;
+}
+
+void
+MosaicDesign::accessHuge(Asid asid, Vpn vpn, Pfn pfn)
+{
+    if (!tlb_.lookupConventional(asid, vpn))
+        tlb_.fillConventional(asid, vpn, pfn);
 }
 
 bool

@@ -5,9 +5,11 @@
  * and unit tests still drive the bare classes) and adds the fill
  * policy that turns a walker answer into installed entries, charging
  * the modeled walk cost:
- *  - vanilla: one radix walk, one 4 KiB fill;
+ *  - vanilla: one radix walk, one 4 KiB fill; a huge-mapped (kernel)
+ *    page fills one 2 MiB entry;
  *  - mosaic: one radix walk returns the whole ToC, one fill covers up
- *    to `arity` pages (the paper's reach mechanism);
+ *    to `arity` pages (the paper's reach mechanism); a huge-mapped
+ *    page takes a whole conventional entry (§3.1);
  *  - coalesced: one radix walk plus 7 neighbour-PTE probes to harvest
  *    group contiguity (CoLT);
  *  - perforated: one radix walk plus 511 neighbour probes on the
@@ -37,6 +39,7 @@ class VanillaDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+    void accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
     bool contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
@@ -46,8 +49,6 @@ class VanillaDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
-
-    VanillaTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
@@ -66,6 +67,7 @@ class MosaicDesign : public TranslationDesign
     }
 
     bool access(Asid asid, Vpn vpn, TranslationWalker &walker) override;
+    void accessHuge(Asid asid, Vpn vpn, Pfn pfn) override;
     bool contains(Asid asid, Vpn vpn) const override;
     bool prefetchFill(Asid asid, Vpn vpn,
                       TranslationWalker &walker) override;
@@ -75,8 +77,6 @@ class MosaicDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
-
-    MosaicTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
@@ -104,8 +104,6 @@ class CoalescedDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
 
-    CoalescedTlb &tlb() { return tlb_; }
-
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
 
@@ -130,8 +128,6 @@ class PerforatedDesign : public TranslationDesign
     const TlbStats &stats() const override { return tlb_.stats(); }
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
-
-    PerforatedTlb &tlb() { return tlb_; }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);

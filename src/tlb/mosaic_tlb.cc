@@ -12,27 +12,6 @@ MosaicTlb::MosaicTlb(const TlbGeometry &geometry, unsigned arity)
     ensure((arity & (arity - 1)) == 0, "mosaic_tlb: arity power of two");
 }
 
-std::optional<Cpfn>
-MosaicTlb::lookup(Asid asid, Vpn vpn)
-{
-    ++stats_.accesses;
-    const Mvpn mvpn = mvpnOf(vpn);
-    if (auto *e = array_.find(mvpn, tagMosaic(asid, mvpn))) {
-        const Cpfn cpfn = e->payload.cpfns[offsetOf(vpn)];
-        if (cpfn != absentCpfn) {
-            ++stats_.hits;
-            return cpfn;
-        }
-        // Entry present, sub-page absent: a miss that a sub-entry
-        // fill can satisfy without an eviction. The fill itself is
-        // counted in fill(), when (and if) it actually happens.
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    ++stats_.misses;
-    return std::nullopt;
-}
-
 void
 MosaicTlb::fill(Asid asid, Vpn vpn, std::span<const Cpfn> toc,
                 Cpfn unmapped_code)

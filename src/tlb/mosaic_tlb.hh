@@ -55,9 +55,27 @@ class MosaicTlb
 
     /**
      * Translate a (ASID, VPN). Returns the CPFN on a hit, nullopt on
-     * a miss (including the sub-entry-absent case).
+     * a miss (including the sub-entry-absent case). Inline: every
+     * mosaic design's access() starts here.
      */
-    std::optional<Cpfn> lookup(Asid asid, Vpn vpn);
+    std::optional<Cpfn>
+    lookup(Asid asid, Vpn vpn)
+    {
+        ++stats_.accesses;
+        const Mvpn mvpn = mvpnOf(vpn);
+        if (auto *e = array_.find(mvpn, tagMosaic(asid, mvpn))) {
+            const Cpfn cpfn = e->payload.cpfns[offsetOf(vpn)];
+            if (cpfn != absentCpfn) {
+                ++stats_.hits;
+                return cpfn;
+            }
+            // Entry present, sub-page absent: a miss that a sub-entry
+            // fill can satisfy without an eviction. The fill itself is
+            // counted in fill(), when (and if) it actually happens.
+        }
+        ++stats_.misses;
+        return std::nullopt;
+    }
 
     /**
      * Install the ToC of the mosaic page containing @p vpn after a

@@ -125,6 +125,15 @@ class TranslationDesign
      */
     virtual bool access(Asid asid, Vpn vpn, TranslationWalker &walker) = 0;
 
+    /**
+     * Translate one reference (asid, vpn) to a page the OS maps with
+     * a 2 MiB page (the kernel image), given the 4 KiB frame the
+     * caller's walk found; no walk cost is charged. Designs that
+     * model how such a page is cached override this; the default
+     * ignores the reference.
+     */
+    virtual void accessHuge(Asid, Vpn, Pfn) {}
+
     /** Would access() hit right now? No stats, no recency effects. */
     virtual bool contains(Asid asid, Vpn vpn) const = 0;
 

@@ -8,27 +8,6 @@ VanillaTlb::VanillaTlb(const TlbGeometry &geometry)
 {
 }
 
-std::optional<Pfn>
-VanillaTlb::lookup(Asid asid, Vpn vpn)
-{
-    ++stats_.accesses;
-
-    if (auto *e = array_.find(vpn, tag4k(asid, vpn))) {
-        ++stats_.hits;
-        return e->payload.pfn;
-    }
-
-    const Vpn huge_vpn = vpn >> 9;
-    if (auto *e = array_.find(huge_vpn, tagHuge(asid, vpn))) {
-        ++stats_.hits;
-        // PFN of the 4 KiB frame inside the huge region.
-        return e->payload.pfn + (vpn & 0x1FF);
-    }
-
-    ++stats_.misses;
-    return std::nullopt;
-}
-
 void
 VanillaTlb::fill(Asid asid, Vpn vpn, Pfn pfn)
 {

@@ -27,8 +27,28 @@ class VanillaTlb
      * Translate a (ASID, VPN). Probes both the 4 KiB and the 2 MiB
      * tag forms, like a unified hardware TLB. Returns the PFN of the
      * 4 KiB frame containing the address on a hit, nullopt on a miss.
+     * Inline: VanillaDesign::access() starts here.
      */
-    std::optional<Pfn> lookup(Asid asid, Vpn vpn);
+    std::optional<Pfn>
+    lookup(Asid asid, Vpn vpn)
+    {
+        ++stats_.accesses;
+
+        if (auto *e = array_.find(vpn, tag4k(asid, vpn))) {
+            ++stats_.hits;
+            return e->payload.pfn;
+        }
+
+        const Vpn huge_vpn = vpn >> 9;
+        if (auto *e = array_.find(huge_vpn, tagHuge(asid, vpn))) {
+            ++stats_.hits;
+            // PFN of the 4 KiB frame inside the huge region.
+            return e->payload.pfn + (vpn & 0x1FF);
+        }
+
+        ++stats_.misses;
+        return std::nullopt;
+    }
 
     /** Install a 4 KiB translation after a walk. */
     void fill(Asid asid, Vpn vpn, Pfn pfn);

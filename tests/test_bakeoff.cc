@@ -1,14 +1,14 @@
 /**
  * @file
  * The design bake-off and the TranslationSim design wiring: spec
- * coverage, tiny-run shape, the free differential check that a
- * registry-built vanilla/mosaic design reproduces the builtin grid's
- * stats exactly, and scalar-vs-batched equivalence of the design
- * path (DESIGN.md §13/§14).
+ * coverage, tiny-run shape, the memoized walker pinned against the
+ * values of a walker that looked every answer up, and scalar-vs-
+ * batched equivalence of the design path (DESIGN.md §13/§14).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -27,10 +27,10 @@ using namespace mosaic;
 namespace
 {
 
-/** A small sim with a registry vanilla + mosaic design next to an
- *  identical-geometry builtin grid. */
+/** A small sim with a registry vanilla + mosaic design after an
+ *  identical-geometry grid. */
 TranslationSimConfig
-gridMirrorConfig()
+smallDesignConfig()
 {
     TranslationSimConfig config;
     config.memory = ampleGeometry(std::uint64_t{8} << 20);
@@ -169,7 +169,7 @@ TEST(Bakeoff, StridePrefetcherBeatsMosaicAcrossGroupBoundaries)
     TranslationSimConfig config;
     config.memory = ampleGeometry(wc.bufferBytes);
     config.tlbEntries = 64; // reach 256 pages < 1024-page loop
-    config.waysList = {4};
+    config.waysList = {};
     config.arities = {4};
     config.kernel.accessEvery = 0;
     config.designWays = 4;
@@ -188,32 +188,10 @@ TEST(Bakeoff, StridePrefetcherBeatsMosaicAcrossGroupBoundaries)
     EXPECT_LT(stride_misses * 10, mosaic_misses * 9);
 }
 
-// The free differential test the wiring is designed around: a
-// registry-built "vanilla"/"mosaic" design fed by TranslationSim's
-// walker must reproduce the identically-shaped builtin grid instance
-// stat for stat (same lookups, same walks, same fills).
-TEST(Bakeoff, RegistryDesignsMatchBuiltinGrid)
-{
-    TranslationSim sim(gridMirrorConfig());
-    ASSERT_EQ(sim.numDesigns(), 2u);
-    for (std::uint64_t i = 0; i < 8000; ++i)
-        sim.access(streamAddr(i), false);
-
-    expectStatsEq(sim.design(0).stats(), sim.vanillaStats(0),
-                  "vanilla design vs grid");
-    expectStatsEq(sim.design(1).stats(), sim.mosaicStats(0, 0),
-                  "mosaic design vs grid");
-    EXPECT_GT(sim.design(0).stats().misses, 0u);
-    EXPECT_GT(sim.design(0).stats().hits, 0u);
-    // Every miss cost one full radix walk, nothing more.
-    EXPECT_EQ(sim.design(0).counters().walkRefs,
-              sim.design(0).stats().misses * 4);
-}
-
 TEST(Bakeoff, BatchedDesignPathMatchesScalar)
 {
-    TranslationSim scalar(gridMirrorConfig());
-    TranslationSim batched(gridMirrorConfig());
+    TranslationSim scalar(smallDesignConfig());
+    TranslationSim batched(smallDesignConfig());
 
     std::vector<MemRef> refs;
     for (std::uint64_t i = 0; i < 6000; ++i)
@@ -226,7 +204,9 @@ TEST(Bakeoff, BatchedDesignPathMatchesScalar)
         batched.accessBatch({refs.data() + i, n});
     }
 
-    ASSERT_EQ(scalar.numDesigns(), batched.numDesigns());
+    // Grid vanilla, grid mosaic, then the two specs.
+    ASSERT_EQ(scalar.numDesigns(), 4u);
+    ASSERT_EQ(batched.numDesigns(), 4u);
     for (std::size_t d = 0; d < scalar.numDesigns(); ++d) {
         expectStatsEq(scalar.design(d).stats(), batched.design(d).stats(),
                       scalar.design(d).name().c_str());
@@ -236,5 +216,84 @@ TEST(Bakeoff, BatchedDesignPathMatchesScalar)
                   batched.design(d).validEntries());
         EXPECT_EQ(scalar.design(d).reachPages(),
                   batched.design(d).reachPages());
+        // Every miss cost one full radix walk, nothing more.
+        EXPECT_EQ(scalar.design(d).counters().walkRefs,
+                  scalar.design(d).stats().misses * 4)
+            << scalar.design(d).name();
+    }
+    EXPECT_GT(scalar.design(0).stats().misses, 0u);
+    EXPECT_GT(scalar.design(0).stats().hits, 0u);
+}
+
+// Fast path == plain path for the walker. The memoized walker (the
+// current reference's PFN and one 64-wide leaf per reference) must
+// give every design exactly what a walker that looked each answer up
+// in a per-page CPFN record gave it. These values were generated with
+// that plain walker; only the grid's walkRefs, which it did not
+// count, are derived (misses x 4). The specs read arities the grid
+// lacks, neighbour PTEs and prefetch targets off the memo.
+TEST(Bakeoff, MemoizedWalkerMatchesPlainWalker)
+{
+    // Grid vanilla, grid mosaic:arity=4, then the five specs: TlbStats
+    // (accesses..invalidations), then DesignCounters (walkRefs..
+    // regionFills).
+    const std::array<std::array<std::uint64_t, 12>, 7> expected = {{
+        {7500, 81, 7419, 0, 7355, 0, 29676, 0, 0, 0, 0, 0},
+        {7500, 2470, 5030, 1090, 3876, 0, 20120, 0, 0, 0, 0, 0},
+        {7500, 81, 7419, 0, 7355, 0, 29676, 0, 0, 0, 0, 0},
+        {7500, 4468, 3032, 2872, 96, 0, 12128, 0, 0, 0, 0, 0},
+        {7500, 4468, 3032, 5743, 96, 0, 23852, 0, 0, 2990, 2871, 0},
+        {7500, 1709, 5791, 0, 5191, 0, 63701, 0, 0, 0, 0, 1044},
+        {7500, 666, 6834, 0, 6770, 0, 49309, 0, 0, 0, 0, 43},
+    }};
+    TranslationSimConfig config;
+    config.memory.numFrames = 64 * 256;
+    config.tlbEntries = 64;
+    config.waysList = {4};
+    config.arities = {4};
+    config.kernel.accessEvery = 0;
+    config.designWays = 4;
+    config.designSpecs = {"mosaic:arity=1", "mosaic:arity=64",
+                          "stride:base=mosaic,arity=64,mode=arbitrary",
+                          "coalesced", "perforated"};
+
+    // Sequential, 2-page-strided and random phases of 256 references,
+    // in five turns of 1,500 over three address spaces.
+    std::vector<MemRef> refs;
+    for (std::uint64_t i = 0; i < 7500; ++i) {
+        const std::uint64_t phase = (i / 256) % 3;
+        const Vpn vpn = phase == 0   ? 512 + i % 256
+                        : phase == 1 ? 1024 + (i % 256) * 2
+                                     : mix64(i) % 2048;
+        refs.push_back(MemRef{addrOf(vpn), false});
+    }
+    const Asid asids[] = {1, 2, 3, 1, 2};
+    constexpr std::size_t turn = 1500;
+
+    for (const std::size_t block : {1u, 7u, 64u}) {
+        TranslationSim sim(config);
+        for (std::size_t t = 0; t < std::size(asids); ++t) {
+            sim.setActiveAsid(asids[t]);
+            for (std::size_t at = t * turn; at < (t + 1) * turn;
+                 at += block) {
+                const std::size_t n = std::min(block, (t + 1) * turn - at);
+                if (block == 1)
+                    sim.access(refs[at].vaddr, refs[at].write);
+                else
+                    sim.accessBatch({refs.data() + at, n});
+            }
+        }
+        ASSERT_EQ(sim.numDesigns(), expected.size());
+        for (std::size_t d = 0; d < expected.size(); ++d) {
+            const TlbStats &s = sim.design(d).stats();
+            const DesignCounters c = sim.design(d).counters();
+            const std::array<std::uint64_t, 12> got = {
+                s.accesses, s.hits, s.misses, s.subEntryFills,
+                s.evictions, s.invalidations, c.walkRefs, c.pwcLookups,
+                c.pwcHits, c.prefetchesIssued, c.prefetchFills,
+                c.regionFills};
+            EXPECT_EQ(got, expected[d])
+                << sim.design(d).name() << " block " << block;
+        }
     }
 }

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "core/translation_sim.hh"
+#include "hash/mix.hh"
 
 namespace mosaic
 {
@@ -259,6 +261,79 @@ TEST(TranslationSim, KernelEntriesAreGlobalAcrossProcesses)
     // The kernel page was already cached under the global tag: the
     // second kernel access adds no miss (only the new user page).
     EXPECT_EQ(sim.vanillaStats(2).misses, kernel_misses + 1);
+}
+
+/** accesses, hits, misses, subEntryFills, evictions, invalidations. */
+using PinnedStats = std::array<std::uint64_t, 6>;
+
+PinnedStats
+pinned(const TlbStats &s)
+{
+    return {s.accesses,      s.hits,      s.misses,
+            s.subEntryFills, s.evictions, s.invalidations};
+}
+
+// Every TlbStats field of every data and ITLB grid entry, with the
+// kernel stream on, the instruction stream on and two address spaces
+// switched mid-stream. The values come from the grid of bare TLB
+// classes that the registry designs replaced; they must not move.
+// The spec design after the grid must change none of them.
+TEST(TranslationSim, GridStatsPinnedAcrossAllThreeStreams)
+{
+    TranslationSimConfig c = smallConfig();
+    c.arities = {4, 64};
+    c.kernel.accessEvery = 16;
+    c.instr.enabled = true;
+    c.designSpecs = {"mosaic:arity=4"};
+    TranslationSim sim(c);
+    for (std::uint64_t i = 0; i < 6000; ++i) {
+        if (i == 2500)
+            sim.setActiveAsid(2);
+        if (i == 4500)
+            sim.setActiveAsid(1);
+        const Vpn vpn = i % 3 == 0 ? (i / 3) % 1536 : mix64(i) % 1536;
+        sim.access(addrOf(vpn), i % 5 == 0);
+    }
+    EXPECT_EQ(sim.totalAccesses(), 6375u);
+    EXPECT_EQ(sim.mappedPages(), 2602u);
+    // A spec design sees the data stream alone.
+    EXPECT_EQ(sim.design(sim.numDesigns() - 1).stats().accesses, 6000u);
+
+    // [ways] vanilla entries, then [ways][arity] mosaic entries.
+    const std::array<PinnedStats, 9> data = {{
+        {6375, 494, 5881, 0, 5817, 0},
+        {6375, 548, 5827, 0, 5763, 0},
+        {6375, 547, 5828, 0, 5764, 0},
+        {6375, 1294, 5081, 873, 4144, 0},
+        {6375, 3497, 2878, 2349, 465, 0},
+        {6375, 1333, 5042, 888, 4090, 0},
+        {6375, 3557, 2818, 2403, 351, 0},
+        {6375, 1335, 5040, 903, 4073, 0},
+        {6375, 3568, 2807, 2403, 340, 0},
+    }};
+    const std::array<PinnedStats, 9> itlb = {{
+        {6000, 5638, 362, 0, 299, 0},
+        {6000, 5702, 298, 0, 234, 0},
+        {6000, 5701, 299, 0, 235, 0},
+        {6000, 5728, 272, 49, 159, 0},
+        {6000, 5831, 169, 145, 16, 0},
+        {6000, 5738, 262, 53, 145, 0},
+        {6000, 5833, 167, 151, 0, 0},
+        {6000, 5742, 258, 55, 139, 0},
+        {6000, 5833, 167, 151, 0, 0},
+    }};
+    for (std::size_t w = 0; w < sim.numWays(); ++w) {
+        EXPECT_EQ(pinned(sim.vanillaStats(w)), data[w]) << "ways " << w;
+        EXPECT_EQ(pinned(sim.itlbVanillaStats(w)), itlb[w])
+            << "ways " << w;
+        for (std::size_t a = 0; a < sim.numArities(); ++a) {
+            const std::size_t i = 3 + w * 2 + a;
+            EXPECT_EQ(pinned(sim.mosaicStats(w, a)), data[i])
+                << "ways " << w << " arity " << a;
+            EXPECT_EQ(pinned(sim.itlbMosaicStats(w, a)), itlb[i])
+                << "ways " << w << " arity " << a;
+        }
+    }
 }
 
 using TranslationSimDeathTest = ::testing::Test;
