@@ -3,7 +3,10 @@
  * Microbenchmarks for the virtual-memory models: resident-page
  * touches (the hot path), first-touch fault/allocation cost, and
  * eviction-path cost under pressure, for both the mosaic VM and the
- * Linux-like baseline.
+ * Linux-like baseline. The *TouchResident series sweep 4,096 pages in
+ * order, so every touch misses the VMs' 256-slot translation cache
+ * and walks; the *TouchLocal series touch at random inside 128
+ * resident pages, so every touch hits it.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +17,7 @@
 
 #include "os/linux_vm.hh"
 #include "os/mosaic_vm.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -88,6 +92,53 @@ BM_LinuxVmTouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinuxVmTouchResident);
+
+/** A random touch order over a 128-page resident set. */
+std::vector<Vpn>
+localStream()
+{
+    constexpr Vpn ws = 128;
+    Rng rng(11);
+    std::vector<Vpn> vpns(4096);
+    for (Vpn &v : vpns)
+        v = rng.below(ws);
+    return vpns;
+}
+
+/** Random touches of a few resident pages: the translation-cache hit
+ *  path. */
+template <typename Vm>
+void
+touchLocal(benchmark::State &state, Vm &vm)
+{
+    const std::vector<Vpn> vpns = localStream();
+    for (const Vpn v : vpns)
+        vm.touch(1, v, true);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(vm.touch(1, vpns[i], false));
+        i = (i + 1) % vpns.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+BM_MosaicVmTouchLocal(benchmark::State &state)
+{
+    MosaicVm vm(mosaicConfig(64 * 256));
+    touchLocal(state, vm);
+}
+BENCHMARK(BM_MosaicVmTouchLocal);
+
+void
+BM_LinuxVmTouchLocal(benchmark::State &state)
+{
+    LinuxVmConfig config;
+    config.numFrames = 64 * 256;
+    LinuxVm vm(config);
+    touchLocal(state, vm);
+}
+BENCHMARK(BM_LinuxVmTouchLocal);
 
 void
 BM_MosaicVmFirstTouch(benchmark::State &state)

@@ -22,7 +22,7 @@ BakeoffDesignResult::metric(std::string_view key) const
 {
     for (const auto &[name, value] : metrics) {
         if (name == key)
-            return value;
+            return std::get<std::uint64_t>(value);
     }
     return 0;
 }
@@ -107,7 +107,7 @@ runBakeoffCell(WorkloadKind kind, const BakeoffOptions &options,
         result.kind =
             config.designSpecs[i].substr(0, config.designSpecs[i].find(':'));
         forEachDesignMetric(design,
-                            [&](const char *name, std::uint64_t value) {
+                            [&](const char *name, auto value) {
                                 result.metrics.emplace_back(name, value);
                             });
         cell.designs.push_back(std::move(result));
@@ -144,8 +144,10 @@ recordBakeoff(telemetry::Registry &r, const BakeoffCell &cell)
     r.counter(base + ".accesses", cell.accesses);
     for (const BakeoffDesignResult &design : cell.designs) {
         const std::string prefix = base + "." + design.kind + ".";
-        for (const auto &[name, value] : design.metrics)
-            r.counter(prefix + name, value);
+        for (const auto &[name, value] : design.metrics) {
+            // Counts become counters, ratios gauges.
+            std::visit([&](auto v) { r.add(prefix + name, v); }, value);
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/experiments.hh"
@@ -64,10 +65,13 @@ struct BakeoffDesignResult
     /** Full design name (registry spec round trip; display only). */
     std::string name;
 
-    /** Every metric forEachDesignMetric exposes, in visit order. */
-    std::vector<std::pair<std::string, std::uint64_t>> metrics;
+    /** One exported metric: a count, or a ratio (missRate). */
+    using Value = std::variant<std::uint64_t, double>;
 
-    /** Value of metric @p key, 0 when absent. */
+    /** Every metric forEachDesignMetric exposes, in visit order. */
+    std::vector<std::pair<std::string, Value>> metrics;
+
+    /** Value of count metric @p key, 0 when absent. */
     std::uint64_t metric(std::string_view key) const;
 
     /** misses / accesses (0 when no accesses). */

@@ -19,7 +19,7 @@ LinuxVm::LinuxVm(const LinuxVmConfig &config)
 }
 
 VanillaPageTable &
-LinuxVm::pageTable(Asid asid)
+LinuxVm::table(Asid asid)
 {
     auto it = tables_.find(asid);
     if (it == tables_.end())
@@ -31,7 +31,7 @@ LinuxVm::pageTable(Asid asid)
 void
 LinuxVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
 {
-    VanillaPageTable &pt = pageTable(asid);
+    VanillaPageTable &pt = table(asid);
     for (std::size_t i = 0; i < npages; ++i) {
         const Vpn v = vpn + i;
         swap_.invalidate(packPageId(PageId{asid, v}));
@@ -42,6 +42,7 @@ LinuxVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
         frames_.unmap(walk.pfn);
         free_.release(walk.pfn);
         pt.unmap(v);
+        xlat_.invalidate(asid, v);
     }
 }
 
@@ -57,7 +58,8 @@ LinuxVm::reclaim()
             if (stats_.firstSwapOutUtilization < 0)
                 stats_.firstSwapOutUtilization = frames_.utilization();
         }
-        pageTable(f.owner.asid).unmap(f.owner.vpn);
+        table(f.owner.asid).unmap(f.owner.vpn);
+        xlat_.invalidate(f.owner.asid, f.owner.vpn);
         frames_.unmap(pfn);
         free_.release(pfn);
     }
@@ -67,15 +69,23 @@ Pfn
 LinuxVm::touch(Asid asid, Vpn vpn, bool write)
 {
     ++clock_;
-    VanillaPageTable &pt = pageTable(asid);
-
-    if (const VanillaWalkResult walk = pt.walk(vpn); walk.present) {
-        frames_.touch(walk.pfn, clock_, write);
-        lru_.touch(walk.pfn);
-        return walk.pfn;
+    Pfn pfn = xlat_.lookup(asid, vpn);
+    if (pfn == invalidPfn) {
+        VanillaPageTable &pt = table(asid);
+        const VanillaWalkResult walk = pt.walk(vpn);
+        if (!walk.present)
+            return touchFault(pt, asid, vpn, write);
+        pfn = walk.pfn;
+        xlat_.fill(asid, vpn, pfn);
     }
+    frames_.touch(pfn, clock_, write);
+    lru_.touch(pfn);
+    return pfn;
+}
 
-    // Page fault.
+Pfn
+LinuxVm::touchFault(VanillaPageTable &pt, Asid asid, Vpn vpn, bool write)
+{
     const std::uint64_t key = packPageId(PageId{asid, vpn});
     const bool major = swap_.contains(key);
 

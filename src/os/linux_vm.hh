@@ -19,6 +19,7 @@
 #include "mem/freelist_allocator.hh"
 #include "os/lru_list.hh"
 #include "os/swap_device.hh"
+#include "os/translation_cache.hh"
 #include "os/virtual_memory.hh"
 #include "pt/vanilla_page_table.hh"
 
@@ -58,8 +59,10 @@ class LinuxVm : public VirtualMemory
     const VmStats &stats() const override { return stats_; }
     std::string name() const override { return "linux"; }
 
-    /** The page table of an address space (created on demand). */
-    VanillaPageTable &pageTable(Asid asid);
+    /** The page table of an address space (created on demand),
+     *  read-only: only the VM changes mappings, which keeps its
+     *  translation cache coherent. */
+    const VanillaPageTable &pageTable(Asid asid) { return table(asid); }
 
     /**
      * Release a range of pages (munmap): resident frames return to
@@ -76,6 +79,13 @@ class LinuxVm : public VirtualMemory
     std::size_t reserveFrames() const { return reserve_; }
 
   private:
+    /** The page table of an address space, created on demand. */
+    VanillaPageTable &table(Asid asid);
+
+    /** A touch of a page the walk of @p pt (asid's table) found
+     *  absent: reclaim if below the watermark, then map and swap in. */
+    Pfn touchFault(VanillaPageTable &pt, Asid asid, Vpn vpn, bool write);
+
     void reclaim();
 
     LinuxVmConfig config_;
@@ -88,6 +98,11 @@ class LinuxVm : public VirtualMemory
     std::size_t reserve_;
 
     std::map<Asid, std::unique_ptr<VanillaPageTable>> tables_;
+
+    /** Resident translations of touch(), filled after a walk finds
+     *  the page present and invalidated wherever a mapping is
+     *  removed (reclaim, unmapRange). */
+    TranslationCache xlat_;
 };
 
 } // namespace mosaic

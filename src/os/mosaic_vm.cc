@@ -24,13 +24,17 @@ MosaicVm::MosaicVm(const MosaicVmConfig &config)
 }
 
 MosaicPageTable &
-MosaicVm::pageTable(Asid asid)
+MosaicVm::table(Asid asid)
 {
+    if (lastTable_ && lastAsid_ == asid)
+        return *lastTable_;
     auto [table, inserted] = tables_.emplace(asid);
     if (inserted) {
         table = std::make_unique<MosaicPageTable>(
             config_.arity, allocator_.mapper().codec().invalid());
     }
+    lastAsid_ = asid;
+    lastTable_ = table.get();
     return *table;
 }
 
@@ -68,7 +72,7 @@ MosaicVm::noteFrameFreed(Pfn pfn)
 std::uint64_t
 MosaicVm::locationIdFor(Asid asid, Vpn vpn)
 {
-    MosaicPageTable &pt = pageTable(asid);
+    MosaicPageTable &pt = table(asid);
     const TocKey key{asid, pt.mvpnOf(vpn)};
     if (const std::uint64_t *bound = locationIds_.find(key))
         return *bound;
@@ -86,7 +90,7 @@ MosaicVm::hashInputFor(Asid asid, Vpn vpn)
     if (config_.sharing == SharingMode::PageIdHash)
         return packPageId(PageId{asid, vpn});
     const std::uint64_t loc_id = locationIdFor(asid, vpn);
-    return (loc_id << 6) | pageTable(asid).offsetOf(vpn);
+    return (loc_id << 6) | table(asid).offsetOf(vpn);
 }
 
 std::optional<std::uint64_t>
@@ -109,7 +113,7 @@ MosaicVm::releaseBindingIfDead(const TocKey &key)
     if (!bound)
         return;
     const std::uint64_t loc_id = *bound;
-    MosaicPageTable &pt = pageTable(key.asid);
+    MosaicPageTable &pt = table(key.asid);
     const Vpn base = key.mvpn << ceilLog2(config_.arity);
     for (unsigned sub = 0; sub < config_.arity; ++sub) {
         if (pt.walk(base + sub).present ||
@@ -140,7 +144,8 @@ MosaicVm::evictFrame(Pfn pfn)
             stats_.firstSwapOutUtilization = frames_.utilization();
     }
     forEachMapping(pfn, [this](Asid asid, Vpn vpn) {
-        pageTable(asid).clearCpfn(vpn);
+        table(asid).clearCpfn(vpn);
+        xlat_.invalidate(asid, vpn);
     });
     sharers_.erase(pfn);
     if (config_.policy == EvictionPolicy::ShrunkenCache)
@@ -155,7 +160,7 @@ MosaicVm::evictFrame(Pfn pfn)
 void
 MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
 {
-    MosaicPageTable &pt = pageTable(asid);
+    MosaicPageTable &pt = table(asid);
     const bool loc_mode = config_.sharing == SharingMode::LocationId;
 
     // Every ToC whose binding may die with this unmap: the caller's
@@ -186,7 +191,8 @@ MosaicVm::unmapRange(Asid asid, Vpn vpn, std::size_t npages)
         // the contents are dead. Clear every mapping of the frame
         // (shared ToCs release for all sharers at once).
         forEachMapping(pfn, [this](Asid a, Vpn vp) {
-            pageTable(a).clearCpfn(vp);
+            table(a).clearCpfn(vp);
+            xlat_.invalidate(a, vp);
         });
         sharers_.erase(pfn);
         if (config_.policy == EvictionPolicy::ShrunkenCache)
@@ -205,8 +211,8 @@ MosaicVm::shareRange(Asid src_asid, Vpn src_vpn, Asid dst_asid,
 {
     ensure(config_.sharing == SharingMode::LocationId,
            "mosaic_vm: sharing requires LocationId mode");
-    MosaicPageTable &src_pt = pageTable(src_asid);
-    MosaicPageTable &dst_pt = pageTable(dst_asid);
+    MosaicPageTable &src_pt = table(src_asid);
+    MosaicPageTable &dst_pt = table(dst_asid);
     const unsigned arity = config_.arity;
     ensure(src_pt.offsetOf(src_vpn) == 0 && dst_pt.offsetOf(dst_vpn) == 0,
            "mosaic_vm: share range must be mosaic-aligned");
@@ -246,16 +252,23 @@ MosaicVm::touch(Asid asid, Vpn vpn, bool write)
 Pfn
 MosaicVm::touchScalar(Asid asid, Vpn vpn, bool write, bool gated)
 {
+    // A cached translation is a resident page: skipping the hash
+    // input below is safe, since a present page's ToC is bound.
+    if (const Pfn cached = xlat_.lookup(asid, vpn); cached != invalidPfn)
+        return touchResident(cached, write);
     // The hash input comes first: in LocationId mode it may create the
     // ToC's binding, which draws the RNG. A present page then needs
     // only the one hash output its CPFN names; the full candidate set
     // is built only to place a faulting page.
     const std::uint64_t hash_input = hashInputFor(asid, vpn);
-    MosaicPageTable &pt = pageTable(asid);
+    MosaicPageTable &pt = table(asid);
     const MosaicWalkResult walk = pt.walk(vpn);
     const MosaicMapper &mapper = allocator_.mapper();
-    if (walk.present)
-        return touchResident(mapper.pfnOf(hash_input, walk.cpfn), write);
+    if (walk.present) {
+        const Pfn pfn = mapper.pfnOf(hash_input, walk.cpfn);
+        xlat_.fill(asid, vpn, pfn);
+        return touchResident(pfn, write);
+    }
     const CandidateSet cand = mapper.candidates(hash_input);
     std::optional<Placement> placed;
     if (gated && wouldSteal(hash_input, cand, placed))
@@ -321,7 +334,7 @@ MosaicVm::touchFault(MosaicPageTable &pt, Asid asid, Vpn vpn, bool write,
         for (const TocKey &user : locUsers_[loc_id]) {
             if (user.asid == asid && user.mvpn == pt.mvpnOf(vpn))
                 continue;
-            MosaicPageTable &peer_pt = pageTable(user.asid);
+            MosaicPageTable &peer_pt = table(user.asid);
             const Vpn peer_vpn =
                 (user.mvpn << ceilLog2(config_.arity)) | offset;
             const MosaicWalkResult peer = peer_pt.walk(peer_vpn);
@@ -482,7 +495,7 @@ MosaicVm::applyBatch(std::span<const PageTouch> block, Pfn *out,
         StagedTouch &st = stagedAt(j);
         st = StagedTouch{nullptr, nullptr, invalidPfn, faults};
         if (!last_table || last_asid != block[j].asid) {
-            // find(), not pageTable(): staging must not create address
+            // find(), not table(): staging must not create address
             // spaces — a missing table just means "not present".
             const auto *table = tables_.find(block[j].asid);
             if (!table)
@@ -534,7 +547,7 @@ MosaicVm::applyBatch(std::span<const PageTouch> block, Pfn *out,
         const std::uint64_t hash_input = packPageId(PageId{t.asid, t.vpn});
         Pfn pfn = stagedAt(i).pfn;
         if (stagedAt(i).faults != faults) {
-            const MosaicWalkResult walked = pageTable(t.asid).walk(t.vpn);
+            const MosaicWalkResult walked = table(t.asid).walk(t.vpn);
             pfn = walked.present ? mapper.pfnOf(hash_input, walked.cpfn)
                                  : invalidPfn;
         }
@@ -549,7 +562,7 @@ MosaicVm::applyBatch(std::span<const PageTouch> block, Pfn *out,
         // Every fault changes a page->frame mapping, which retires
         // the touches staged before it.
         ++faults;
-        out[i] = touchFault(pageTable(t.asid), t.asid, t.vpn, t.write,
+        out[i] = touchFault(table(t.asid), t.asid, t.vpn, t.write,
                             hash_input, cand, placed);
     }
     return n;

@@ -23,6 +23,7 @@
 #include "os/ghost_tracker.hh"
 #include "os/lru_list.hh"
 #include "os/swap_device.hh"
+#include "os/translation_cache.hh"
 #include "os/virtual_memory.hh"
 #include "pt/mosaic_page_table.hh"
 #include "util/flat_map.hh"
@@ -149,8 +150,10 @@ class MosaicVm : public VirtualMemory
     const VmStats &stats() const override { return stats_; }
     std::string name() const override { return "mosaic"; }
 
-    /** The page table of an address space (created on demand). */
-    MosaicPageTable &pageTable(Asid asid);
+    /** The page table of an address space (created on demand),
+     *  read-only: only the VM changes mappings, which keeps its
+     *  translation cache coherent. */
+    const MosaicPageTable &pageTable(Asid asid) { return table(asid); }
 
     /** Frame-level metadata (for inspection and tests). */
     const FrameTable &frameTable() const { return frames_; }
@@ -268,6 +271,10 @@ class MosaicVm : public VirtualMemory
         std::uint64_t faults = 0;
     };
 
+    /** The page table of an address space, created on demand. The
+     *  last (ASID, table) pair is kept: touches mostly repeat it. */
+    MosaicPageTable &table(Asid asid);
+
     /** Hit bookkeeping for an access to resident frame @p pfn at the
      *  current clock: ghost rescue or live-order touch, frame
      *  timestamp and dirty bit, ShrunkenCache order. */
@@ -360,6 +367,16 @@ class MosaicVm : public VirtualMemory
     GhostTracker ghosts_;
 
     FlatMap<Asid, std::unique_ptr<MosaicPageTable>> tables_;
+
+    /** table()'s last result. Tables are never destroyed, so the
+     *  pointer stays valid; nullptr until the first lookup. */
+    Asid lastAsid_ = 0;
+    MosaicPageTable *lastTable_ = nullptr;
+
+    /** Resident translations of touchScalar, filled after a walk
+     *  finds the page present and invalidated wherever a mapping is
+     *  cleared (evictFrame, unmapRange). */
+    TranslationCache xlat_;
 
     /** LocationId mode: ToC -> location ID. */
     FlatMap<TocKey, std::uint64_t, TocKeyHash> locationIds_;

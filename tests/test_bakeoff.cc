@@ -10,6 +10,7 @@
 
 #include <array>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/bakeoff.hh"
@@ -121,6 +122,11 @@ TEST(Bakeoff, TinyRunHasTheExpectedShape)
               std::string::npos);
     EXPECT_NE(json.find("bakeoff.gups.arity4.pwc.pwcHits"),
               std::string::npos);
+    // The rate is exported as a gauge, not truncated to a count.
+    const double vanilla_rate = std::get<double>(
+        report.metrics().at("bakeoff.gups.arity4.vanilla.missRate"));
+    EXPECT_GT(vanilla_rate, 0.0);
+    EXPECT_EQ(vanilla_rate, cell.designs[0].missRate());
 }
 
 // PR 7 found the stride prefetcher inert on the paper workloads:

@@ -35,7 +35,7 @@ checkMosaicVmConsistency(MosaicVm &vm, const std::set<Asid> &asids,
     std::set<Pfn> seen;
     std::size_t present = 0;
     for (const Asid asid : asids) {
-        MosaicPageTable &pt = vm.pageTable(asid);
+        const MosaicPageTable &pt = vm.pageTable(asid);
         for (Vpn vpn = 0; vpn <= max_vpn; ++vpn) {
             const MosaicWalkResult walk = pt.walk(vpn);
             if (!walk.present)
