@@ -10,9 +10,13 @@
  * token bucket, so shedding is guaranteed exercised (the CI schema
  * check asserts shed > 0 there and conservation everywhere).
  *
- * Deterministic counters (accepted, completed, shed.*) are
- * cross-run byte-comparable; latency metrics are wall-clock and
- * machine-dependent, like the microbenches.
+ * The metrics hold only what the traces fix: requests, sessions and,
+ * for the sized scenarios, whose clients retry backpressure until
+ * every request is accepted, the sessions' state digest. They are
+ * byte-comparable across runs. Every count that depends on how the
+ * clients and workers interleave (submitted, accepted, completed,
+ * shed.*, epochCheckpoints, ...), ops/sec and the latency histograms
+ * go under "timing" (DESIGN.md §9).
  *
  * Knobs: MOSAIC_SERVE_REQUESTS (default 4000) caps requests per
  * tenant; MOSAIC_SERVE_SCALE (default 0.05) scales the workloads;
@@ -48,6 +52,10 @@ struct ScenarioResult
 {
     std::string name;
     ServeTotals totals;
+    /** Requests the clients' traces hold. */
+    std::uint64_t requests = 0;
+    /** FNV mix of every session's state digest, in session order. */
+    std::uint64_t stateDigest = 0;
     telemetry::LatencyHistogram latency;
     double seconds = 0.0;
 };
@@ -105,6 +113,19 @@ runScenario(const ScenarioSpec &spec, const std::string &dir,
 
     std::vector<telemetry::LatencyHistogram> perClient(
         spec.mix->tenants.size());
+    std::vector<std::uint64_t> issued(spec.mix->tenants.size());
+    // Connect in tenant order, so every run gives each client the
+    // same session id, and with it the same simulator seed.
+    std::vector<SessionHandle> sessions;
+    for (std::size_t t = 0; t < spec.mix->tenants.size(); ++t) {
+        auto handle = daemon.connect(
+            workloadName(spec.mix->tenants[t].kind) + "-" +
+            std::to_string(t));
+        if (!handle.ok())
+            fatal("bench_serving: connect: " +
+                  handle.status().toString());
+        sessions.push_back(handle.value());
+    }
     const bench::WallTimer timer;
     std::vector<std::thread> clients;
     for (std::size_t t = 0; t < spec.mix->tenants.size(); ++t) {
@@ -113,22 +134,22 @@ runScenario(const ScenarioSpec &spec, const std::string &dir,
             const std::vector<MemRef> trace = tenantTrace(
                 tenant.kind, scale * tenant.scale, seed, t,
                 requests);
-            auto handle = daemon.connect(
-                workloadName(tenant.kind) + "-" +
-                std::to_string(t));
-            if (!handle.ok())
-                fatal("bench_serving: connect: " +
-                      handle.status().toString());
-            SessionHandle session = handle.value();
+            SessionHandle &session = sessions[t];
             Rng rng(experimentCellSeed(seed ^ 0xBE4C, t));
+            issued[t] = trace.size();
             for (const MemRef &ref : trace) {
                 const auto begin =
                     std::chrono::steady_clock::now();
                 // Bounded retry: quota and rate sheds that outlast
                 // the attempts stay shed — that is the overload
-                // scenario's whole point.
-                (void)session.submitRetry(ref.vaddr, ref.write,
-                                          rng, 8, 20);
+                // scenario's whole point. A sized scenario's only
+                // shed is backpressure, which it outlasts.
+                Status shed;
+                do {
+                    shed = session.submitRetry(ref.vaddr, ref.write,
+                                               rng, 8, 20);
+                } while (!spec.overload && !shed.ok() &&
+                         retryableShed(shed.code()));
                 const auto end =
                     std::chrono::steady_clock::now();
                 perClient[t].record(static_cast<std::uint64_t>(
@@ -148,11 +169,21 @@ runScenario(const ScenarioSpec &spec, const std::string &dir,
     result.totals = daemon.totals();
     for (const auto &h : perClient)
         result.latency.merge(h);
+    for (const std::uint64_t n : issued)
+        result.requests += n;
     if (result.totals.submitted !=
             result.totals.accepted + result.totals.shedTotal ||
         result.totals.accepted != result.totals.completed) {
         fatal("bench_serving: conservation violated in scenario " +
               spec.name);
+    }
+    if (!spec.overload && result.totals.accepted != result.requests)
+        fatal("bench_serving: sized scenario " + spec.name +
+              " did not accept every request");
+    result.stateDigest = 14695981039346656037ull;
+    for (const SessionSnapshot &snap : daemon.snapshots()) {
+        result.stateDigest ^= daemon.stateDigest(snap.id).value();
+        result.stateDigest *= 1099511628211ull;
     }
     daemon.stop();
     fs::remove_all(dir);
@@ -238,15 +269,20 @@ main()
         scenario_seconds += r.seconds;
 
         const std::string prefix = "serve." + spec.name;
-        registerServeTotals(report.metrics(), r.totals, prefix);
-        r.latency.registerInto(report.metrics(),
-                               "latency." + spec.name);
+        auto &m = report.metrics();
+        m.counter(prefix + ".requests", r.requests);
+        m.counter(prefix + ".sessions", r.totals.sessions);
+        if (!spec.overload)
+            m.counter(prefix + ".stateDigest", r.stateDigest);
+        auto &timing = report.timing().values;
+        registerServeTotals(timing, r.totals, prefix);
+        r.latency.registerInto(timing, "latency." + spec.name);
         const double opsPerSec =
             r.seconds > 0.0
                 ? static_cast<double>(r.totals.completed) /
                       r.seconds
                 : 0.0;
-        report.metrics().gauge(prefix + ".opsPerSec", opsPerSec);
+        timing.gauge(prefix + ".opsPerSec", opsPerSec);
         if (spec.overload && r.totals.shedTotal > 0)
             overloadShed = true;
     }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbenchmarks for the page-table structures: radix vs hashed
- * walks (software cost of the model itself), walks across many
- * sparse tables, mapping installation, and the walk-cache lookup
- * path.
+ * walks (software cost of the model itself), building and walking
+ * many sparse tables, mapping installation, and the walk-cache
+ * lookup path.
  */
 
 #include <benchmark/benchmark.h>
@@ -55,25 +55,37 @@ BM_MosaicPtWalk(benchmark::State &state)
 }
 BENCHMARK(BM_MosaicPtWalk);
 
+/**
+ * Many small address spaces: 1,024 tables of 23 pages each — the
+ * shape of a many-tenant machine, where the tables' node footprint
+ * decides the cache misses.
+ */
+constexpr std::size_t sparseTenants = 1024;
+constexpr Vpn sparsePages = 23;
+
+std::vector<std::unique_ptr<MosaicPageTable>>
+buildSparseTenants()
+{
+    std::vector<std::unique_ptr<MosaicPageTable>> tables;
+    tables.reserve(sparseTenants);
+    for (std::size_t t = 0; t < sparseTenants; ++t) {
+        tables.push_back(std::make_unique<MosaicPageTable>(4, 0x7F));
+        for (Vpn v = 0; v < sparsePages; ++v)
+            tables.back()->setCpfn(v, static_cast<Cpfn>((t + v) % 104));
+    }
+    return tables;
+}
+
 void
 BM_MosaicPtWalkSparseTenants(benchmark::State &state)
 {
-    // Many small address spaces: 1,024 tables of 23 pages each,
-    // walked in random order — the shape of a many-tenant machine,
-    // where the tables' node footprint decides the cache misses.
-    constexpr std::size_t tenants = 1024;
-    constexpr Vpn pages = 23;
-    std::vector<std::unique_ptr<MosaicPageTable>> tables;
-    for (std::size_t t = 0; t < tenants; ++t) {
-        tables.push_back(std::make_unique<MosaicPageTable>(4, 0x7F));
-        for (Vpn v = 0; v < pages; ++v)
-            tables.back()->setCpfn(v, static_cast<Cpfn>((t + v) % 104));
-    }
+    // The sparse tables walked in random order.
+    const auto tables = buildSparseTenants();
     Rng rng(1);
     std::vector<std::pair<const MosaicPageTable *, Vpn>> probes(1 << 16);
     for (auto &[table, vpn] : probes) {
-        table = tables[rng.below(tenants)].get();
-        vpn = rng.below(pages);
+        table = tables[rng.below(sparseTenants)].get();
+        vpn = rng.below(sparsePages);
     }
     std::size_t i = 0;
     for (auto _ : state) {
@@ -83,6 +95,17 @@ BM_MosaicPtWalkSparseTenants(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MosaicPtWalkSparseTenants);
+
+void
+BM_MosaicPtBuildSparseTenants(benchmark::State &state)
+{
+    // Build and free the sparse tables: the page-table share of one
+    // round of a many-tenant machine.
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildSparseTenants());
+    state.SetItemsProcessed(state.iterations() * sparseTenants);
+}
+BENCHMARK(BM_MosaicPtBuildSparseTenants);
 
 void
 BM_HashedPtWalk(benchmark::State &state)

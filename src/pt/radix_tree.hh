@@ -16,12 +16,21 @@
  * fanout × width leaves, so each key owns `width` contiguous leaves
  * (one PTE for the vanilla table, one ToC of `arity` CPFNs for the
  * mosaic table). A one-level tree is a single leaf run.
+ *
+ * Stored height (DESIGN.md §12.1). levels() is the modelled depth,
+ * but a multi-level tree stores only the levels its keys use: it
+ * starts empty, its first key builds a root just tall enough for it,
+ * and a key the root cannot hold adds interior nodes above the old
+ * root, which becomes child 0. memRefs still counts the node visits
+ * of the full-height tree, whose levels above the stored root hold
+ * only child 0 on a path that exists.
  */
 
 #ifndef MOSAIC_PT_RADIX_TREE_HH_
 #define MOSAIC_PT_RADIX_TREE_HH_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -61,17 +70,25 @@ class RadixTree
         ensure(width >= 1, "radix_tree: width must be positive");
         if (levels_ == 0)
             levels_ = 1;
-        root_ = levels_ == 1 ? static_cast<void *>(newRun())
-                             : static_cast<void *>(new Node());
+        keyMask_ = maskOf(levels_);
+        if (levels_ == 1)
+            plant(1);
     }
 
-    ~RadixTree() { release(root_, levels_ - 1); }
+    ~RadixTree()
+    {
+        if (root_)
+            release(root_, height_ - 1);
+    }
 
     RadixTree(const RadixTree &) = delete;
     RadixTree &operator=(const RadixTree &) = delete;
 
-    /** Number of radix levels. */
+    /** Number of radix levels a walk is charged for. */
     unsigned levels() const { return levels_; }
+
+    /** Levels actually stored (0 while a multi-level tree is empty). */
+    unsigned height() const { return height_; }
 
     /** Leaves per key. */
     unsigned width() const { return width_; }
@@ -79,15 +96,19 @@ class RadixTree
     /**
      * The first of a key's width() contiguous leaves, creating
      * interior nodes and the leaf run as needed, and marking the key
-     * written. @p refs, when non-null, accumulates the walk length.
+     * written. Keys are taken modulo 2^(9 × levels()). @p refs, when
+     * non-null, accumulates the walk length, levels().
      */
     Leaf &
     getOrCreate(std::uint64_t key, unsigned *refs = nullptr)
     {
+        key &= keyMask_;
+        if (refs)
+            *refs += levels_;
+        if (!root_ || (key & ~heightMask_))
+            plant(heightOf(key));
         void **slot = &root_;
-        for (unsigned level = levels_; level-- > 1;) {
-            if (refs)
-                ++*refs;
+        for (unsigned level = height_; level-- > 1;) {
             void **child =
                 &static_cast<Node *>(*slot)->children[indexAt(key, level)];
             if (!*child) {
@@ -96,8 +117,6 @@ class RadixTree
             }
             slot = child;
         }
-        if (refs)
-            ++*refs;
         Run *run = static_cast<Run *>(*slot);
         const unsigned i = indexAt(key, 0);
         run->written[i / 64] |= std::uint64_t{1} << (i % 64);
@@ -107,11 +126,13 @@ class RadixTree
     /**
      * The first of a key's leaves without creating anything; nullptr
      * when no leaf run exists on the path. A key of an existing run
-     * that was never written reads as the fill value.
+     * that was never written reads as the fill value. @p refs counts
+     * the node visits the full-height tree's walk would make.
      */
     Leaf *
     find(std::uint64_t key, unsigned *refs = nullptr)
     {
+        key &= keyMask_;
         Run *run = findRun(key, refs);
         return run ? &run->leaves()[std::size_t{indexAt(key, 0)} * width_]
                    : nullptr;
@@ -138,12 +159,14 @@ class RadixTree
         return (run->written[i / 64] >> (i % 64)) & 1;
     }
 
-    /** Visit every key of every leaf run as (key, first leaf). */
+    /** Visit every key of every leaf run as (key, first leaf), in
+     *  ascending key order. */
     template <typename Visitor>
     void
     forEach(Visitor &&visit)
     {
-        forEachImpl(root_, levels_ - 1, 0, visit);
+        if (root_)
+            forEachImpl(root_, height_ - 1, 0, visit);
     }
 
   private:
@@ -170,6 +193,41 @@ class RadixTree
     {
         return static_cast<unsigned>(
             (key >> (level * fanoutBits)) & (fanout - 1));
+    }
+
+    /** Levels a tree needs to hold @p key (at least 1). */
+    static unsigned
+    heightOf(std::uint64_t key)
+    {
+        const unsigned bits = static_cast<unsigned>(std::bit_width(key));
+        return bits <= fanoutBits ? 1 : (bits + fanoutBits - 1) / fanoutBits;
+    }
+
+    /** Make the stored root at least @p height levels tall: build it
+     *  on an empty tree, else stack nodes above the old root. */
+    void
+    plant(unsigned height)
+    {
+        if (!root_) {
+            root_ = height == 1 ? static_cast<void *>(newRun())
+                                : static_cast<void *>(new Node());
+            height_ = height;
+        }
+        for (; height_ < height; ++height_) {
+            Node *node = new Node();
+            node->children[0] = root_;
+            root_ = node;
+        }
+        heightMask_ = maskOf(height_);
+    }
+
+    /** The keys @p levels levels hold: 2^(9 × levels) - 1. */
+    static std::uint64_t
+    maskOf(unsigned levels)
+    {
+        return levels * fanoutBits >= 64
+            ? ~std::uint64_t{0}
+            : (std::uint64_t{1} << (levels * fanoutBits)) - 1;
     }
 
     Run *
@@ -201,11 +259,22 @@ class RadixTree
         delete node;
     }
 
+    /** The leaf run of a masked key. A key above the stored height
+     *  diverges from the full-height tree's chain of child-0 nodes at
+     *  its highest nonzero 9-bit group; an empty tree has only its
+     *  root. */
     Run *
     findRun(std::uint64_t key, unsigned *refs) const
     {
+        if (!root_ || (key & ~heightMask_)) {
+            if (refs)
+                *refs += root_ ? levels_ - (heightOf(key) - 1) : 1;
+            return nullptr;
+        }
+        if (refs)
+            *refs += levels_ - height_;
         void *p = root_;
-        for (unsigned level = levels_; level-- > 1;) {
+        for (unsigned level = height_; level-- > 1;) {
             if (refs)
                 ++*refs;
             p = static_cast<Node *>(p)->children[indexAt(key, level)];
@@ -242,6 +311,10 @@ class RadixTree
     unsigned levels_;
     unsigned width_;
     Leaf fill_;
+    std::uint64_t keyMask_;
+    /** maskOf(height_): the keys the stored root holds. */
+    std::uint64_t heightMask_ = 0;
+    unsigned height_ = 0;
     void *root_ = nullptr;
 };
 

@@ -269,9 +269,9 @@ class Mosaicd
 
 /**
  * Register daemon totals under "<prefix>." in any registry-like
- * object with counter(name, value) (the BenchReport metrics
- * contract: monotonic counts only; latency lives in the caller's
- * LatencyHistogram).
+ * object with counter(name, value). Admission outcomes depend on how
+ * clients and workers interleave, so a BenchReport files them under
+ * its timing values, not its metrics (DESIGN.md §9).
  */
 template <typename RegistryT>
 void

@@ -51,11 +51,17 @@ void
 Registry::writeTo(JsonWriter &w) const
 {
     w.beginObject();
+    writeMembers(w);
+    w.endObject();
+}
+
+void
+Registry::writeMembers(JsonWriter &w) const
+{
     for (const auto &[name, value] : metrics_) {
         w.key(name);
         std::visit([&](const auto &v) { w.value(v); }, value);
     }
-    w.endObject();
 }
 
 } // namespace mosaic::telemetry

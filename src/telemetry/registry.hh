@@ -111,6 +111,9 @@ class Registry
     /** Write all metrics as one JSON object, sorted by name. */
     void writeTo(JsonWriter &w) const;
 
+    /** Write all metrics as members of the object @p w is in. */
+    void writeMembers(JsonWriter &w) const;
+
   private:
     void insert(const std::string &name, MetricValue v);
 

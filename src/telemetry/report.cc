@@ -68,6 +68,7 @@ BenchReport::writeJson(std::ostream &os) const
     w.field("wallSeconds", timing_.wallSeconds);
     w.field("serialEquivalentSeconds", timing_.serialSeconds);
     w.field("speedup", timing_.speedup());
+    timing_.values.writeMembers(w);
     w.endObject();
     w.key("metrics");
     metrics_.writeTo(w);

@@ -51,6 +51,14 @@ struct RunTiming
 {
     double wallSeconds = 0.0;
 
+    /**
+     * Named values that depend on the machine or on how threads
+     * interleave (throughputs, latency histograms, counts a
+     * scheduler decides), written into the "timing" object after
+     * the fixed fields so the metrics stay byte-comparable.
+     */
+    Registry values;
+
     /** Summed per-cell compute time (the serial-equivalent cost). */
     double serialSeconds = 0.0;
 

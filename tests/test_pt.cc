@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "mem/geometry.hh"
@@ -143,6 +147,221 @@ TEST(RadixTree, WrittenMarksOnlyCreatedKeys)
     refs = 0;
     EXPECT_EQ(t.find(1000 + (1u << 9), &refs), nullptr);
     EXPECT_EQ(refs, 3u);
+}
+
+/**
+ * The full-height tree a RadixTree models: the leaves of every
+ * created key, and per level the key prefixes that own a node. A
+ * walk of that tree visits the root, then one node per level while
+ * the key's prefix owns one, then the leaf run.
+ */
+class FullHeightModel
+{
+  public:
+    FullHeightModel(unsigned levels, unsigned width, std::uint8_t fill)
+        : levels_(levels), width_(width), fill_(fill), prefixes_(levels)
+    {
+    }
+
+    std::uint64_t
+    mask(std::uint64_t key) const
+    {
+        return levels_ * 9 >= 64 ? key
+                                 : key & ((std::uint64_t{1} << (levels_ * 9)) - 1);
+    }
+
+    std::vector<std::uint8_t> &
+    create(std::uint64_t key)
+    {
+        key = mask(key);
+        for (unsigned level = 1; level < levels_; ++level)
+            prefixes_[level].insert(key >> (9 * level));
+        auto [it, fresh] = leaves_.try_emplace(key);
+        if (fresh)
+            it->second.assign(width_, fill_);
+        return it->second;
+    }
+
+    /** Node visits of find(key), and whether it reaches a leaf run. */
+    std::pair<unsigned, bool>
+    walk(std::uint64_t key) const
+    {
+        key = mask(key);
+        unsigned refs = 1;
+        for (unsigned level = levels_ - 1; level >= 1; --level) {
+            if (!prefixes_[level].contains(key >> (9 * level)))
+                return {refs, false};
+            ++refs;
+        }
+        return {refs, true};
+    }
+
+    /** Leaf i of a key whose run exists (the fill if never created). */
+    std::uint8_t
+    leaf(std::uint64_t key, unsigned i) const
+    {
+        const auto it = leaves_.find(mask(key));
+        return it == leaves_.end() ? fill_ : it->second[i];
+    }
+
+    bool written(std::uint64_t key) const
+    {
+        return leaves_.contains(mask(key));
+    }
+
+    /** Every key of every leaf run, ascending. */
+    std::vector<std::uint64_t>
+    runKeys() const
+    {
+        std::vector<std::uint64_t> keys;
+        std::set<std::uint64_t> runs;
+        if (levels_ == 1)
+            runs.insert(0); // a one-level tree is its eager run
+        for (const auto &entry : leaves_)
+            runs.insert(entry.first >> 9);
+        for (const std::uint64_t run : runs) {
+            for (std::uint64_t i = 0; i < 512; ++i)
+                keys.push_back((run << 9) | i);
+        }
+        return keys;
+    }
+
+    /** Levels the created keys need (0 with none). */
+    unsigned
+    height() const
+    {
+        unsigned h = levels_ == 1 ? 1 : 0;
+        for (const auto &entry : leaves_) {
+            const unsigned bits =
+                static_cast<unsigned>(std::bit_width(entry.first));
+            h = std::max(h, bits <= 9 ? 1u : (bits + 8) / 9);
+        }
+        return h;
+    }
+
+  private:
+    unsigned levels_;
+    unsigned width_;
+    std::uint8_t fill_;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> leaves_;
+    std::vector<std::set<std::uint64_t>> prefixes_;
+};
+
+/** find() on @p key agrees with the model: node visits, leaf run
+ *  presence, every leaf, and the written bit. */
+void
+expectFindMatchesModel(RadixTree<std::uint8_t> &tree,
+                       const FullHeightModel &model, std::uint64_t key)
+{
+    unsigned refs = 0;
+    const std::uint8_t *leaves = tree.find(key, &refs);
+    const auto [model_refs, has_run] = model.walk(key);
+    ASSERT_EQ(refs, model_refs) << "key " << key;
+    ASSERT_EQ(leaves != nullptr, has_run) << "key " << key;
+    if (!leaves)
+        return;
+    for (unsigned i = 0; i < tree.width(); ++i)
+        ASSERT_EQ(leaves[i], model.leaf(key, i)) << "key " << key;
+    ASSERT_EQ(tree.written(key, leaves), model.written(key))
+        << "key " << key;
+}
+
+void
+expectTreeMatchesModel(RadixTree<std::uint8_t> &tree,
+                       const FullHeightModel &model)
+{
+    EXPECT_EQ(tree.height(), model.height());
+    std::vector<std::uint64_t> visited;
+    tree.forEach([&](std::uint64_t key, std::uint8_t &first) {
+        visited.push_back(key);
+        EXPECT_EQ(first, model.leaf(key, 0)) << "key " << key;
+    });
+    EXPECT_EQ(visited, model.runKeys());
+}
+
+/** A key that needs exactly @p height levels, clustered with the
+ *  keys made before it half the time. */
+std::uint64_t
+keyOfHeight(Rng &rng, unsigned height, std::vector<std::uint64_t> &made)
+{
+    std::uint64_t key;
+    if (!made.empty() && rng.chance(0.5)) {
+        key = (made[rng.below(made.size())] & ~std::uint64_t{511}) |
+              rng.below(512);
+    } else {
+        const std::uint64_t lo =
+            height == 1 ? 0 : std::uint64_t{1} << (9 * (height - 1));
+        const std::uint64_t span = height * 9 >= 64
+            ? ~std::uint64_t{0} - lo
+            : (std::uint64_t{1} << (9 * height)) - lo;
+        key = lo + rng.below(span);
+    }
+    made.push_back(key);
+    return key;
+}
+
+/** The right-sized tree against a full-height model: random keys of
+ *  every height and above the modelled width, finds on an empty
+ *  tree, growth after data exists, at one to five levels and widths
+ *  1, 4 and 64. */
+TEST(RadixTree, RightSizedTreeMatchesFullHeightModel)
+{
+    constexpr std::uint8_t fill = 0x7F;
+    for (const unsigned key_bits : {5u, 9u, 18u, 27u, 36u, 45u}) {
+        for (const unsigned width : {1u, 4u, 64u}) {
+            SCOPED_TRACE("key_bits " + std::to_string(key_bits) +
+                         " width " + std::to_string(width));
+            RadixTree<std::uint8_t> tree(key_bits, width, fill);
+            const unsigned levels = tree.levels();
+            FullHeightModel model(levels, width, fill);
+            Rng rng(key_bits * 131 + width);
+            std::vector<std::uint64_t> made;
+            const auto probe = [&] {
+                const unsigned h =
+                    1 + static_cast<unsigned>(rng.below(levels));
+                std::vector<std::uint64_t> scratch;
+                expectFindMatchesModel(tree, model,
+                                       rng.chance(0.1)
+                                           ? rng()
+                                           : keyOfHeight(rng, h, scratch));
+                if (!made.empty()) {
+                    expectFindMatchesModel(
+                        tree, model, made[rng.below(made.size())]);
+                }
+            };
+            for (int i = 0; i < 20; ++i)
+                probe();
+            expectTreeMatchesModel(tree, model);
+            // Grow one level at a time, so every growth stacks nodes
+            // above a root that already holds data; the last phase
+            // mixes every height with keys above 9 × levels bits.
+            for (unsigned phase = 1; phase <= levels + 1; ++phase) {
+                for (int op = 0; op < 60; ++op) {
+                    const unsigned h = phase <= levels
+                        ? phase
+                        : 1 + static_cast<unsigned>(rng.below(levels));
+                    const std::uint64_t key =
+                        phase > levels && rng.chance(0.2)
+                            ? rng()
+                            : keyOfHeight(rng, h, made);
+                    unsigned refs = 0;
+                    std::uint8_t *leaves = &tree.getOrCreate(key, &refs);
+                    ASSERT_EQ(refs, levels);
+                    std::vector<std::uint8_t> &expect = model.create(key);
+                    for (unsigned i = 0; i < width; ++i) {
+                        ASSERT_EQ(leaves[i], expect[i]);
+                        leaves[i] = expect[i] =
+                            static_cast<std::uint8_t>(rng.below(fill));
+                    }
+                    probe();
+                }
+                expectTreeMatchesModel(tree, model);
+                for (const std::uint64_t key : made)
+                    expectFindMatchesModel(tree, model, key);
+            }
+            EXPECT_EQ(tree.height(), levels);
+        }
+    }
 }
 
 TEST(VanillaPt, MapWalkUnmap)
