@@ -29,7 +29,7 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
 {
     ensure(!config_.arities.empty(), "sim: need at least one arity");
 
-    buildGrid(designs_);
+    buildGrid(data_);
     if (config_.instr.enabled)
         buildGrid(itlb_);
 
@@ -56,22 +56,26 @@ TranslationSim::TranslationSim(const TranslationSimConfig &config)
             makeTranslationDesign(spec, defaults);
         if (!design.ok())
             fatal("translation_sim: " + design.status().toString());
-        designs_.push_back(std::move(design.value()));
+        data_.designs.push_back(std::move(design.value()));
     }
     setActiveAsid(config_.asid);
 }
 
 void
-TranslationSim::buildGrid(Designs &list) const
+TranslationSim::buildGrid(DesignList &list) const
 {
     for (const unsigned ways : config_.waysList) {
-        list.push_back(std::make_unique<VanillaDesign>(
-            TlbGeometry{config_.tlbEntries, ways}));
+        auto design = std::make_unique<VanillaDesign>(
+            TlbGeometry{config_.tlbEntries, ways});
+        list.gridStats.push_back(&design->mutableStats());
+        list.designs.push_back(std::move(design));
     }
     for (const unsigned ways : config_.waysList) {
         for (const unsigned arity : config_.arities) {
-            list.push_back(std::make_unique<MosaicDesign>(
-                TlbGeometry{config_.tlbEntries, ways}, arity));
+            auto design = std::make_unique<MosaicDesign>(
+                TlbGeometry{config_.tlbEntries, ways}, arity);
+            list.gridStats.push_back(&design->mutableStats());
+            list.designs.push_back(std::move(design));
         }
     }
 }
@@ -90,6 +94,8 @@ TranslationSim::setActiveAsid(Asid asid)
 {
     activeAsid_ = asid;
     active_ = &spaceFor(asid);
+    data_.lastVpn = invalidVpn;
+    itlb_.lastVpn = invalidVpn;
 }
 
 TranslationSim::AddressSpace &
@@ -141,28 +147,28 @@ const TlbStats &
 TranslationSim::vanillaStats(std::size_t ways_idx) const
 {
     ensure(ways_idx < numWays(), "sim: grid index out of range");
-    return designs_[ways_idx]->stats();
+    return data_.designs[ways_idx]->stats();
 }
 
 const TlbStats &
 TranslationSim::mosaicStats(std::size_t ways_idx,
                             std::size_t arity_idx) const
 {
-    return designs_[mosaicIndex(ways_idx, arity_idx)]->stats();
+    return data_.designs[mosaicIndex(ways_idx, arity_idx)]->stats();
 }
 
 const TlbStats &
 TranslationSim::itlbVanillaStats(std::size_t ways_idx) const
 {
     ensure(ways_idx < numWays(), "sim: grid index out of range");
-    return itlb_.at(ways_idx)->stats();
+    return itlb_.designs.at(ways_idx)->stats();
 }
 
 const TlbStats &
 TranslationSim::itlbMosaicStats(std::size_t ways_idx,
                                 std::size_t arity_idx) const
 {
-    return itlb_.at(mosaicIndex(ways_idx, arity_idx))->stats();
+    return itlb_.designs.at(mosaicIndex(ways_idx, arity_idx))->stats();
 }
 
 Pfn
@@ -212,12 +218,27 @@ TranslationSim::ensureMapped(Vpn vpn)
 }
 
 void
-TranslationSim::translate(const Designs &designs, Vpn vpn)
+TranslationSim::translate(DesignList &list, Vpn vpn)
 {
-    const Pfn pfn = ensureMapped(vpn);
-    walker_.setCurrent(*active_, activeAsid_, vpn, pfn);
-    for (const auto &design : designs)
-        design->access(activeAsid_, vpn, walker_);
+    // The repeat rule (DESIGN.md §14.3). The last reference left this
+    // page's entry valid and most recently used in its set in every
+    // grid TLB: it hit that entry or filled it with the page
+    // ensureMapped had just mapped. A hit on it would only refresh
+    // its recency, so two counters are all that changes.
+    std::size_t first = 0;
+    if (vpn == list.lastVpn) {
+        for (TlbStats *stats : list.gridStats) {
+            ++stats->accesses;
+            ++stats->hits;
+        }
+        first = list.gridStats.size();
+    } else {
+        list.lastVpn = vpn;
+        list.lastPfn = ensureMapped(vpn);
+    }
+    walker_.setCurrent(*active_, activeAsid_, vpn, list.lastPfn);
+    for (std::size_t d = first; d < list.designs.size(); ++d)
+        list.designs[d]->access(activeAsid_, vpn, walker_);
 }
 
 void
@@ -247,7 +268,9 @@ TranslationSim::kernelAccess()
     // Vanilla maps the kernel with 2 MiB pages; each mosaic TLB
     // caches kernel pages as conventional full entries. Kernel
     // mappings are global: one ASID tag shared by everyone. Only the
-    // grid sees them (DESIGN.md §14.3).
+    // grid sees them (DESIGN.md §14.3), and the next data reference
+    // cannot count as a repeat.
+    data_.lastVpn = invalidVpn;
     if (kernel_ == nullptr)
         kernel_ = &spaceFor(kernelAsid);
     VanillaWalkResult walk = kernel_->vanilla.walk(vpn);
@@ -258,8 +281,8 @@ TranslationSim::kernelAccess()
         vanillaNextPfn_ += 512;
         walk = kernel_->vanilla.walk(vpn);
     }
-    for (std::size_t d = 0; d < numWays() * (1 + numArities()); ++d)
-        designs_[d]->accessHuge(kernelAsid, vpn, walk.pfn);
+    for (std::size_t d = 0; d < data_.gridStats.size(); ++d)
+        data_.designs[d]->accessHuge(kernelAsid, vpn, walk.pfn);
 }
 
 void
@@ -273,7 +296,7 @@ TranslationSim::accessBatch(std::span<const MemRef> block)
     for (std::size_t i = 0; i < block.size(); ++i) {
         if (i + lookahead < block.size()) {
             const Vpn vpn = vpnOf(block[i + lookahead].vaddr);
-            for (const auto &design : designs_)
+            for (const auto &design : data_.designs)
                 design->prefetchSets(vpn);
         }
         access(block[i].vaddr, block[i].write);
@@ -284,7 +307,7 @@ void
 TranslationSim::access(Addr vaddr, bool write)
 {
     ++accesses_;
-    translate(designs_, vpnOf(vaddr));
+    translate(data_, vpnOf(vaddr));
 
     if (shardedVm_)
         shardedVm_->touch(activeAsid_, vpnOf(vaddr), write);

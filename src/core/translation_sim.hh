@@ -132,7 +132,10 @@ struct TranslationSimConfig
  * Feeds one reference stream to every translation design: the
  * vanilla × mosaic grid of config.waysList × config.arities, then the
  * designs config.designSpecs names. All of them read one walker over
- * one vanilla and one mosaic page table per address space.
+ * one vanilla and one mosaic page table per address space. A
+ * reference to the page the same stream just translated is a hit in
+ * every grid TLB and skips the grid altogether (the repeat rule,
+ * DESIGN.md §14.3); the spec designs still see it.
  */
 class TranslationSim : public AccessSink
 {
@@ -167,11 +170,11 @@ class TranslationSim : public AccessSink
      * then a MosaicDesign per (ways, arity), ways-major, then one per
      * config.designSpecs entry.
      */
-    std::size_t numDesigns() const { return designs_.size(); }
+    std::size_t numDesigns() const { return data_.designs.size(); }
     const TranslationDesign &
     design(std::size_t i) const
     {
-        return *designs_.at(i);
+        return *data_.designs.at(i);
     }
 
     /** Stats of the data grid's entries. */
@@ -207,8 +210,6 @@ class TranslationSim : public AccessSink
     const ShardedMosaicVm *shardedVm() const { return shardedVm_.get(); }
 
   private:
-    using Designs = std::vector<std::unique_ptr<TranslationDesign>>;
-
     /**
      * The page tables of one address space. The mosaic table is
      * built at maxArity: the ToC of any arity a is the aligned
@@ -262,8 +263,23 @@ class TranslationSim : public AccessSink
         Cpfn unmapped_;
     };
 
+    /** One reference stream's designs, grid first, and the page the
+     *  stream last translated (the repeat rule, DESIGN.md §14.3). */
+    struct DesignList
+    {
+        std::vector<std::unique_ptr<TranslationDesign>> designs;
+
+        /** Counters of designs[0, gridStats.size()), the grid. */
+        std::vector<TlbStats *> gridStats;
+
+        /** The page last translated and its vanilla PFN;
+         *  invalidVpn when the next reference cannot repeat. */
+        Vpn lastVpn = invalidVpn;
+        Pfn lastPfn = invalidPfn;
+    };
+
     /** Append the vanilla × mosaic grid to @p list. */
-    void buildGrid(Designs &list) const;
+    void buildGrid(DesignList &list) const;
 
     /** Position of grid entry (ways_idx, arity_idx)'s MosaicDesign;
      *  ways_idx's VanillaDesign sits at ways_idx. */
@@ -276,8 +292,9 @@ class TranslationSim : public AccessSink
      *  vanilla PFN. */
     Pfn ensureMapped(Vpn vpn);
 
-    /** Map @p vpn and feed it to every design of @p designs. */
-    void translate(const Designs &designs, Vpn vpn);
+    /** Map @p vpn and feed it to every design of @p list, or, on a
+     *  repeat, count a hit in its grid and feed the rest. */
+    void translate(DesignList &list, Vpn vpn);
 
     void kernelAccess();
     void instructionFetch();
@@ -285,10 +302,10 @@ class TranslationSim : public AccessSink
     TranslationSimConfig config_;
 
     /** Data-stream designs, grid first. */
-    Designs designs_;
+    DesignList data_;
 
     /** Instruction-stream designs: the grid alone. */
-    Designs itlb_;
+    DesignList itlb_;
 
     // One page-table pair per address space, behind unique_ptrs so
     // the cached active and kernel pointers survive a rehash.

@@ -50,6 +50,10 @@ class VanillaDesign : public TranslationDesign
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
 
+    /** The TLB's counters, writable: TranslationSim counts a repeat
+     *  reference as a hit here without a lookup (DESIGN.md §14.3). */
+    TlbStats &mutableStats() { return tlb_.stats(); }
+
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);
 
@@ -77,6 +81,9 @@ class MosaicDesign : public TranslationDesign
     std::uint64_t reachPages() const override { return tlb_.reachPages(); }
     unsigned validEntries() const override { return tlb_.validEntries(); }
     void prefetchSets(Vpn vpn) const override { tlb_.prefetchSets(vpn); }
+
+    /** As VanillaDesign::mutableStats. */
+    TlbStats &mutableStats() { return tlb_.stats(); }
 
   private:
     bool fillFromWalk(Asid asid, Vpn vpn, TranslationWalker &walker);

@@ -12,76 +12,11 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace
-{
-
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    // Lemire's nearly-divisionless bounded generation. The rejection
-    // loop keeps the result exactly uniform.
-    std::uint64_t x = (*this)();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (lo < threshold) {
-            x = (*this)();
-            m = static_cast<__uint128_t>(x) * bound;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t
-Rng::between(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits give a uniform double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 unsigned

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/translation_sim.hh"
@@ -321,6 +324,149 @@ TEST(TranslationSim, GridStatsPinnedAcrossAllThreeStreams)
         {6000, 5833, 167, 151, 0, 0},
         {6000, 5742, 258, 55, 139, 0},
         {6000, 5833, 167, 151, 0, 0},
+    }};
+    for (std::size_t w = 0; w < sim.numWays(); ++w) {
+        EXPECT_EQ(pinned(sim.vanillaStats(w)), data[w]) << "ways " << w;
+        EXPECT_EQ(pinned(sim.itlbVanillaStats(w)), itlb[w])
+            << "ways " << w;
+        for (std::size_t a = 0; a < sim.numArities(); ++a) {
+            const std::size_t i = 3 + w * 2 + a;
+            EXPECT_EQ(pinned(sim.mosaicStats(w, a)), data[i])
+                << "ways " << w << " arity " << a;
+            EXPECT_EQ(pinned(sim.itlbMosaicStats(w, a)), itlb[i])
+                << "ways " << w << " arity " << a;
+        }
+    }
+}
+
+/**
+ * Feed @p sim a stream in which about two references in three repeat
+ * the page just before them, over ASIDs 1..3 with @p pages pages each:
+ * scalar when @p block is 0, else through accessBatch in blocks of
+ * @p block. Every 400 references the address space switches, every
+ * third time to the active one, and the reference after a switch
+ * repeats the page before it. Returns how many references repeat.
+ */
+std::uint64_t
+driveRepeatStream(TranslationSim &sim, std::size_t block, Vpn pages)
+{
+    std::vector<MemRef> segment;
+    auto flush = [&] {
+        if (block == 0) {
+            for (const MemRef &ref : segment)
+                sim.access(ref.vaddr, ref.write);
+        } else {
+            const std::span<const MemRef> refs(segment);
+            for (std::size_t i = 0; i < refs.size(); i += block) {
+                sim.accessBatch(
+                    refs.subspan(i, std::min(block, refs.size() - i)));
+            }
+        }
+        segment.clear();
+    };
+    std::uint64_t repeats = 0;
+    Vpn vpn = 0;
+    for (std::uint64_t i = 0; i < 12000; ++i) {
+        const std::uint64_t h = mix64(i);
+        if (i > 0 && i % 400 == 0) {
+            flush();
+            const Asid asid = sim.activeAsid();
+            sim.setActiveAsid((i / 400) % 3 == 0 ? asid : asid % 3 + 1);
+            ++repeats;
+        } else if (i > 0 && h % 3 != 0) {
+            ++repeats;
+        } else {
+            vpn = i % 2 == 0 ? (h >> 8) % pages : (vpn + 1) % pages;
+        }
+        segment.push_back(MemRef{addrOf(vpn, (h >> 40) % pageSize),
+                                 h % 7 == 0});
+    }
+    flush();
+    return repeats;
+}
+
+// The repeat rule skips the grid on a reference to the page just
+// translated (DESIGN.md §14.3). Spec designs never take that path,
+// so spec designs of the grid's own geometries must end with every
+// counter equal to their grid twins', scalar and batched alike.
+TEST(TranslationSim, RepeatRuleMatchesSpecDesignTwins)
+{
+    TranslationSimConfig c;
+    c.memory.numFrames = 64 * 1024;
+    c.tlbEntries = 1024;
+    c.waysList = {1, 4, 1024};
+    c.arities = {4, 64};
+    c.kernel.accessEvery = 0;
+    for (const unsigned ways : c.waysList)
+        c.designSpecs.push_back("vanilla:ways=" + std::to_string(ways));
+    for (const unsigned ways : c.waysList) {
+        for (const unsigned arity : c.arities) {
+            c.designSpecs.push_back("mosaic:arity=" +
+                                    std::to_string(arity) +
+                                    ",ways=" + std::to_string(ways));
+        }
+    }
+    const std::size_t grid = c.designSpecs.size();
+
+    std::vector<PinnedStats> scalar;
+    for (const std::size_t block : {0, 7, 64}) {
+        TranslationSim sim(c);
+        const std::uint64_t repeats = driveRepeatStream(sim, block, 6000);
+        EXPECT_GT(repeats, 12000u / 2);
+        EXPECT_LT(repeats, 12000u * 4 / 5);
+        ASSERT_EQ(sim.numDesigns(), 2 * grid);
+        for (std::size_t d = 0; d < grid; ++d) {
+            const TranslationDesign &twin = sim.design(grid + d);
+            const TranslationDesign &cell = sim.design(d);
+            EXPECT_EQ(pinned(cell.stats()), pinned(twin.stats()))
+                << twin.name() << " block " << block;
+            EXPECT_EQ(cell.counters().walkRefs, twin.counters().walkRefs)
+                << twin.name() << " block " << block;
+            if (block == 0)
+                scalar.push_back(pinned(cell.stats()));
+            else
+                EXPECT_EQ(pinned(cell.stats()), scalar[d])
+                    << twin.name() << " block " << block;
+        }
+    }
+}
+
+// The repeat-heavy stream with the kernel stream interleaving every
+// third reference and the instruction stream on: every data and ITLB
+// grid counter is pinned to values computed before the repeat rule
+// existed.
+TEST(TranslationSim, RepeatRuleGridStatsPinnedWithKernelAndItlb)
+{
+    TranslationSimConfig c = smallConfig();
+    c.arities = {4, 64};
+    c.kernel.accessEvery = 3;
+    c.instr.enabled = true;
+    TranslationSim sim(c);
+    driveRepeatStream(sim, 0, 1536);
+    EXPECT_EQ(sim.totalAccesses(), 16000u);
+
+    // [ways] vanilla entries, then [ways][arity] mosaic entries.
+    const std::array<PinnedStats, 9> data = {{
+        {16000, 11459, 4541, 0, 4477, 0},
+        {16000, 11667, 4333, 0, 4269, 0},
+        {16000, 11665, 4335, 0, 4271, 0},
+        {16000, 8997, 7003, 1007, 5932, 0},
+        {16000, 9640, 6360, 1877, 4419, 0},
+        {16000, 9042, 6958, 1032, 5862, 0},
+        {16000, 9697, 6303, 2001, 4238, 0},
+        {16000, 9056, 6944, 1028, 5852, 0},
+        {16000, 9735, 6265, 2015, 4186, 0},
+    }};
+    const std::array<PinnedStats, 9> itlb = {{
+        {12000, 11035, 965, 0, 901, 0},
+        {12000, 11183, 817, 0, 753, 0},
+        {12000, 11140, 860, 0, 796, 0},
+        {12000, 11362, 638, 74, 500, 0},
+        {12000, 11573, 427, 267, 152, 0},
+        {12000, 11384, 616, 67, 485, 0},
+        {12000, 11638, 362, 338, 0, 0},
+        {12000, 11426, 574, 61, 449, 0},
+        {12000, 11638, 362, 338, 0, 0},
     }};
     for (std::size_t w = 0; w < sim.numWays(); ++w) {
         EXPECT_EQ(pinned(sim.vanillaStats(w)), data[w]) << "ways " << w;
